@@ -2,10 +2,11 @@
 """Wall-clock comparison of the compiled and pure-Python kernels.
 
 Runs the network integrator and one torus sweep on the five-node
-two-cluster instance with both backends and prints a small table. Handy
-after touching the Cython sources: the package falls back to the Python
-kernels silently when the extension is missing, so a missing build shows
-up here as a suspiciously flat speedup.
+two-cluster instance with both backends and prints a small table, then the
+integrator's cost per RK4 step on random networks of N = 5, 20 and 80 nodes
+where every node has 4 inputs (E = 4 N edges). Handy after touching the Cython sources:
+the package falls back to the Python kernels silently when the extension is
+missing, so a missing build shows up here as a suspiciously flat speedup.
 """
 
 import argparse
@@ -60,6 +61,28 @@ def _integrator_args(net, pp, t_end, step):
     )
 
 
+SCALING_SIZES = (5, 20, 80)
+SCALING_IN_DEGREE = 4
+SCALING_STEPS = 500
+
+
+def _scaling_args(n):
+    """Integrator inputs on a random network where every node receives from
+    SCALING_IN_DEGREE others."""
+    rng = np.random.default_rng(0)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        adj[i, rng.choice(others, size=SCALING_IN_DEGREE, replace=False)] = 1
+    k0 = np.where(adj != 0, rng.uniform(-0.015, 0.015, (n, n)), 0.0)
+    kind, offset, table = LearningRule.hebbian().kernel_encoding()
+    return (
+        rng.uniform(0.0, 2.0 * np.pi, n), k0, adj, rng.uniform(0.4, 0.6, n),
+        1.0, 0.01, kind, offset, table,
+        0.01, SCALING_STEPS, 10,
+    )
+
+
 def _sweep_args(net, part, pp, res):
     structure = inter_cluster_structure(net, part)
     grid_shape = np.full(2, res, dtype=np.int64)
@@ -102,6 +125,20 @@ def main() -> int:
             f"{name:<20} {t_py * 1e3:>8.1f}ms {t_cy * 1e3:>8.1f}ms "
             f"{t_py / t_cy:>7.1f}x  {diff:.2e}"
         )
+
+    print(f"\nintegrate_network per RK4 step, in-degree {SCALING_IN_DEGREE}")
+    print(f"{'N':>4} {'E':>5} {'python':>10} {'compiled':>10} {'speedup':>8}  max|diff|")
+    per_step = 1e6 / SCALING_STEPS
+    for n in SCALING_SIZES:
+        args = _scaling_args(n)
+        t_py, out_py = _best(_kernels_py.integrate_network, args, ns.repeat)
+        row = f"{n:>4} {n * SCALING_IN_DEGREE:>5} {t_py * per_step:>8.1f}us"
+        if _kernels_cy is not None:
+            t_cy, out_cy = _best(_kernels_cy.integrate_network, args, ns.repeat)
+            diff = max(float(np.abs(a - b).max()) for a, b in zip(out_py[:2], out_cy[:2]))
+            row += f" {t_cy * per_step:>8.1f}us {t_py / t_cy:>7.1f}x  {diff:.2e}"
+        print(row)
+
     if _kernels_cy is None:
         print("compiled extension not importable; only the fallback was timed")
     return 0

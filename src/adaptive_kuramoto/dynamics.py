@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from ._kernels_py import rule_values
+from ._kernels_py import edge_rhs, rule_values
 from .conditions import LearningRule, PlasticityParams
 from .network import (
     ClusterPartition,
@@ -343,11 +343,13 @@ def rhs_full(net: OscillatorNetwork, pp: PlasticityParams, state: NetworkState):
     if state.phases.shape[0] != net.n_nodes:
         raise ValueError("state size does not match the network")
     kind, offset, table = pp.rule.kernel_encoding()
-    theta = state.phases
-    diff = theta[None, :] - theta[:, None]
-    mask = net.adjacency != 0
-    dtheta = net.frequencies + np.sum(mask * state.couplings * np.sin(diff), axis=1)
-    dk = np.where(mask, -pp.gamma * state.couplings + pp.mu * rule_values(kind, offset, table, diff), 0.0)
+    recv, src = np.nonzero(net.adjacency)
+    dtheta, dk_edges = edge_rhs(
+        state.phases, state.couplings[recv, src], recv, src,
+        net.frequencies, pp.gamma, pp.mu, kind, offset, table,
+    )
+    dk = np.zeros((net.n_nodes, net.n_nodes))
+    dk[recv, src] = dk_edges
     return dtheta, dk
 
 
@@ -571,12 +573,15 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     headers += [f"e_{i + 1}" for i in traj.error_nodes]
     headers += [f"k_{i + 1}_{j + 1}" for i, j in traj.k_edges]
 
+    errors = traj.errors if traj.errors is not None else np.zeros((traj.n_records, 0))
+    recv, src = np.array(traj.k_edges, dtype=np.int64).reshape(-1, 2).T
+
+    # one record at a time: the whole table as strings would cost more memory
+    # than the trajectory itself
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(headers) + "\n")
         for rec in range(traj.n_records):
-            row = [repr(float(traj.times[rec]))]
-            row += [repr(float(v)) for v in traj.phases[rec]]
-            if traj.errors is not None:
-                row += [repr(float(v)) for v in traj.errors[rec]]
-            row += [repr(float(traj.couplings[rec, i, j])) for i, j in traj.k_edges]
-            fh.write(",".join(row) + "\n")
+            row = np.concatenate((
+                traj.times[rec:rec + 1], traj.phases[rec], errors[rec], traj.couplings[rec, recv, src]
+            ))
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

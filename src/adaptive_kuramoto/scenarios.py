@@ -65,6 +65,7 @@ from .dynamics import (
 )
 from .network import apply_perturbation, network_from_dict
 from .torus import (
+    RESIDUAL_MIN_RESOLUTION,
     export_surface,
     full_manifold,
     invariance_residual,
@@ -406,11 +407,15 @@ def _run_torus(scenario: Scenario, out: Path, seed, force) -> tuple[dict, list[s
     p = scenario.parameters
     net, part, pp = scenario.network, scenario.partition, scenario.plasticity
     horizon = p.get("horizon")
+    resolution = int(p.get("resolution", 64))
+    # the residual is part of every torus report; reject before the solve
+    if resolution < RESIDUAL_MIN_RESOLUTION:
+        raise ValueError(f"residual evaluation needs resolution >= {RESIDUAL_MIN_RESOLUTION}")
     torus, log = solve_torus(
         net,
         part,
         pp,
-        resolution=int(p.get("resolution", 64)),
+        resolution=resolution,
         tol=float(p.get("tol", 1e-10)),
         max_iter=int(p.get("max_iter", 100)),
         step=float(p.get("step", 0.01)),

@@ -62,6 +62,8 @@ __all__ = [
     "load_torus",
 ]
 
+RESIDUAL_MIN_RESOLUTION = 16  # smallest grid invariance_residual accepts
+
 
 class ConditionsNotSatisfied(RuntimeError):
     """The sufficient conditions fail and force=False."""
@@ -359,8 +361,8 @@ def invariance_residual(
     independent per-edge evaluation (no pair collapsing), so it cross-checks
     the iteration kernels.
     """
-    if u.resolution < 16:
-        raise ValueError("residual evaluation needs resolution >= 16")
+    if u.resolution < RESIDUAL_MIN_RESOLUTION:
+        raise ValueError(f"residual evaluation needs resolution >= {RESIDUAL_MIN_RESOLUTION}")
     structure = inter_cluster_structure(net, part)
     _validate_compat(u, structure, part.m)
     m, res = part.m, u.resolution

@@ -266,3 +266,26 @@ def test_trajectory_csv(five_node, tmp_path):
     # repr round-trip: parse back a value and compare exactly
     first = lines[1].split(",")
     assert float(first[1]) == traj.phases[0, 0]
+
+
+def _reference_csv_rows(traj):
+    """The row writer trajectory_to_csv must match: one repr per indexed value."""
+    for rec in range(traj.n_records):
+        row = [repr(float(traj.times[rec]))]
+        row += [repr(float(v)) for v in traj.phases[rec]]
+        if traj.errors is not None:
+            row += [repr(float(v)) for v in traj.errors[rec]]
+        row += [repr(float(traj.couplings[rec, i, j])) for i, j in traj.k_edges]
+        yield ",".join(row) + "\n"
+
+
+@pytest.mark.parametrize("with_partition", [True, False])
+def test_trajectory_csv_matches_per_value_writer(five_node, tmp_path, with_partition):
+    net, part, pp = five_node
+    st0 = initial_state(net, np.linspace(0.1, 5.9, 5), random_couplings(net, -0.3, 0.3, 4))
+    traj = simulate(net, pp, st0, 2.0, partition=part if with_partition else None)
+    path = tmp_path / "run.csv"
+    trajectory_to_csv(traj, path)
+    header, *rows = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert ("e_2" in header) == with_partition
+    assert rows == list(_reference_csv_rows(traj))

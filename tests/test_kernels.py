@@ -1,5 +1,7 @@
-"""Compiled and pure-numpy kernels must agree to rounding."""
+"""Compiled and pure-numpy kernels must agree to rounding, and the numpy
+integrator with a per-edge pure-Python RK4."""
 
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +103,110 @@ def _setup_five():
     k0[adj == 1] = rng.uniform(-0.01, 0.01, adj.sum())
     theta0 = rng.uniform(0, 2 * np.pi, 5)
     return adj, w, theta0, k0
+
+
+# receiver-row adjacency: in-degrees 3, 1, 4, 2, 1, 0 (node 5 has no inputs)
+SPARSE_ADJ = np.array([
+    [0, 1, 1, 0, 1, 0],
+    [1, 0, 0, 0, 0, 0],
+    [1, 1, 0, 1, 0, 1],
+    [0, 0, 1, 0, 0, 1],
+    [0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0],
+])
+NON_EDGE_K = {(1, 3): 0.25, (5, 0): -0.5}  # must pass through untouched
+
+
+def _tabulated_rule(table):
+    n = len(table)
+
+    def rule(s):
+        t = (s % (2 * math.pi)) * n / (2 * math.pi)
+        i0 = math.floor(t)
+        frac = t - i0
+        return table[i0 % n] * (1.0 - frac) + table[(i0 + 1) % n] * frac
+
+    return rule
+
+
+REFERENCE_RULES = [
+    (LearningRule.hebbian(), math.cos),
+    (LearningRule.shifted_cosine(0.7), lambda s: math.cos(s - 0.7)),
+    (LearningRule.tabulated([1.0, 0.2, -1.0, 0.3, 0.5]), _tabulated_rule([1.0, 0.2, -1.0, 0.3, 0.5])),
+]
+
+
+def _reference_integrate(theta0, k0, adj, freqs, gamma, mu, rule, step, n_steps, stride):
+    """Per-edge RK4 in plain floats; returns the finite records as
+    (phases, {edge: coupling}) pairs, stopping at the first non-finite one."""
+    edges = [(i, j) for i in range(len(adj)) for j in range(len(adj)) if adj[i][j]]
+
+    def rhs(th, kk):
+        dth = [float(w) for w in freqs]
+        dk = {}
+        for i, j in edges:
+            d = th[j] - th[i]
+            finite = math.isfinite(d)
+            dth[i] += kk[i, j] * (math.sin(d) if finite else math.nan)
+            dk[i, j] = -gamma * kk[i, j] + mu * (rule(d) if finite else math.nan)
+        return dth, dk
+
+    def shift(th, kk, a, dth, dk):
+        return [x + a * v for x, v in zip(th, dth)], {e: kk[e] + a * dk[e] for e in edges}
+
+    theta = [float(x) % (2 * math.pi) for x in theta0]
+    k = {e: float(k0[e]) for e in edges}
+    records = [(theta, k)]
+    for _ in range(n_steps // stride):
+        for _ in range(stride):
+            t1, k1 = rhs(theta, k)
+            t2, k2 = rhs(*shift(theta, k, 0.5 * step, t1, k1))
+            t3, k3 = rhs(*shift(theta, k, 0.5 * step, t2, k2))
+            t4, k4 = rhs(*shift(theta, k, step, t3, k3))
+            theta = [
+                (x + step / 6.0 * (a + 2.0 * b + 2.0 * c + d)) % (2 * math.pi)
+                for x, a, b, c, d in zip(theta, t1, t2, t3, t4)
+            ]
+            k = {e: k[e] + step / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]) for e in edges}
+        if not all(math.isfinite(v) for v in theta + list(k.values())):
+            break
+        records.append((theta, k))
+    return records
+
+
+def _sparse_case(gamma):
+    rng = np.random.default_rng(11)
+    k0 = np.where(SPARSE_ADJ != 0, rng.uniform(-1.0, 1.0, SPARSE_ADJ.shape), 0.0)
+    for e, v in NON_EDGE_K.items():
+        k0[e] = v
+    theta0 = rng.uniform(-1.0, 7.0, 6)  # some outside [0, 2 pi) to exercise the wrap
+    freqs = np.array([0.5, 0.9, 0.2, 1.3, 0.7, 1.1])
+    return theta0, k0, freqs, gamma
+
+
+@pytest.mark.parametrize("gamma, blows_up", [(0.5, False), (500.0, True)])
+@pytest.mark.parametrize("rule, ref_rule", REFERENCE_RULES, ids=["hebbian", "shifted", "tabulated"])
+def test_integrate_network_matches_per_edge_reference(rule, ref_rule, gamma, blows_up):
+    theta0, k0, freqs, gamma = _sparse_case(gamma)
+    mu, step, n_steps, stride = 0.3, 0.01, 400, 10
+    kind, offset, table = rule.kernel_encoding()
+    with np.errstate(all="ignore"):
+        thetas, ks, n_valid = _kernels_py.integrate_network(
+            theta0, k0, SPARSE_ADJ, freqs, gamma, mu, kind, offset, table, step, n_steps, stride
+        )
+    ref = _reference_integrate(theta0, k0, SPARSE_ADJ, freqs, gamma, mu, ref_rule, step, n_steps, stride)
+
+    assert n_valid == len(ref)
+    assert (n_valid < n_steps // stride + 1) == blows_up
+    for e, v in NON_EDGE_K.items():
+        assert (ks[:n_valid, e[0], e[1]] == v).all()
+    assert (ks[:n_valid][:, SPARSE_ADJ == 0] == k0[SPARSE_ADJ == 0]).all()
+    if blows_up:
+        return  # on the way to overflow the phases are rounding noise mod 2 pi
+    for rec, (theta_ref, k_ref) in enumerate(ref):
+        gap = np.angle(np.exp(1j * (thetas[rec] - np.array(theta_ref))))
+        assert np.abs(gap).max() <= 1e-11
+        assert max(abs(ks[rec][e] - v) for e, v in k_ref.items()) <= 1e-11
 
 
 @needs_compiled

@@ -248,3 +248,17 @@ def test_two_osc_scenario_runner(tmp_path):
     assert outcome.ok
     data = json.loads((tmp_path / "twoosc.json").read_text())
     assert data["analysis"]["synchronizable"] is True
+
+
+def test_torus_scenario_rejects_coarse_grid_before_solving(tmp_path, monkeypatch):
+    from adaptive_kuramoto import scenarios
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_torus must not run for an unusable resolution")
+
+    monkeypatch.setattr(scenarios, "solve_torus", no_solve)
+    data = bundled("five_node_torus")
+    data["parameters"]["resolution"] = 8
+    with pytest.raises(ValueError, match="residual evaluation needs resolution >= 16"):
+        run_scenario(parse_scenario(data), tmp_path)
+    assert list(tmp_path.iterdir()) == []
