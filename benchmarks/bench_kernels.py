@@ -86,13 +86,13 @@ def _scaling_args(n):
 def _sweep_args(net, part, pp, res):
     structure = inter_cluster_structure(net, part)
     grid_shape = np.full(2, res, dtype=np.int64)
-    agg = np.zeros((res * res, structure.n_pairs))
-    pair_s = np.array([p[0] for p in structure.pairs], dtype=np.int64)
-    pair_r = np.array([p[1] for p in structure.pairs], dtype=np.int64)
+    phi = _kernels_py.grid_points(grid_shape)
+    # nonzero, so the max|diff| column covers the interpolation
+    agg = np.repeat(0.01 * np.cos(phi[:, [0]] - 2.0 * phi[:, [1]]), structure.n_pairs, axis=1)
     wbar = net.frequencies[list(part.representatives)]
     kind, offset, table = pp.rule.kernel_encoding()
     return (
-        agg, grid_shape, pair_s, pair_r, wbar,
+        agg, grid_shape, structure.pair_s, structure.pair_r, wbar,
         pp.gamma, pp.mu, kind, offset, table,
         40.0, 0.01, 0,
     )

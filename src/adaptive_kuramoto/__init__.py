@@ -32,17 +32,13 @@ from .dynamics import (
     ErrorMetrics,
     IntegrationBlowup,
     NetworkState,
-    ReducedState,
     Trajectory,
     TwoOscillatorResult,
     cluster_errors,
     error_metrics,
     initial_state,
-    inter_coupling_matrix,
-    inter_forcing_vector,
     random_couplings,
     rhs_full,
-    rhs_reduced,
     simulate,
     simulate_static_pair,
     switch_topology_scenario,
@@ -111,7 +107,6 @@ __all__ = [
     # dynamics
     "NetworkState",
     "Trajectory",
-    "ReducedState",
     "IntegrationBlowup",
     "ErrorMetrics",
     "TwoOscillatorResult",
@@ -120,9 +115,6 @@ __all__ = [
     "simulate",
     "switch_topology_scenario",
     "rhs_full",
-    "rhs_reduced",
-    "inter_coupling_matrix",
-    "inter_forcing_vector",
     "cluster_errors",
     "error_metrics",
     "trajectory_to_csv",

@@ -26,6 +26,11 @@ Both backends expose the same two entry points with identical semantics:
     the quadrature weights are Simpson-consistent with the trajectory stages.
     ``agg`` holds the representative-received per-pair sums of the previous
     iterate on the grid and is evaluated by periodic multilinear interpolation.
+    The interpolation is prepared once per sweep (``periodic_interpolator``)
+    on a grid padded by one wrapped layer per axis: each stage reduces the
+    cell index mod the grid once, builds the 2^m corner indices and weights
+    axis by axis and gathers each corner with one ``take``. It gives the same
+    bits as the per-corner form that reduces every corner index separately.
 
 Rules are encoded as (kind, offset, table): kind 0 is cos(s), kind 1 is
 cos(s - offset), kind 2 interpolates ``table`` linearly and periodically.
@@ -35,6 +40,8 @@ backend is single-threaded.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -128,34 +135,48 @@ def grid_points(grid_shape) -> np.ndarray:
     return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
 
-def interp_periodic(values: np.ndarray, grid_shape, pts: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation.
+def periodic_interpolator(values: np.ndarray, grid_shape):
+    """Prepare periodic multilinear interpolation of ``values``.
 
-    values: (G, C) rows over the row-major grid of shape grid_shape;
-    pts: (P, m) arbitrary angles. Returns (P, C).
+    values: (G, C) rows over the row-major grid of shape grid_shape. Returns
+    an evaluator mapping pts (P, m) of arbitrary angles to (P, C).
+
+    The grid is padded by one wrapped layer at the end of every axis, so the
+    upper corner of a cell is base + 1 without a second reduction. Weights
+    are products over axes in axis order and corners accumulate in the order
+    corner = sum_a bit_a 2^a, as the per-corner form does, so the result is
+    the same to the last bit.
     """
-    grid_shape = np.asarray(grid_shape, dtype=np.int64)
-    m = grid_shape.size
-    strides = np.ones(m, dtype=np.int64)
-    for a in range(m - 2, -1, -1):
-        strides[a] = strides[a + 1] * grid_shape[a + 1]
+    shape = tuple(int(r) for r in grid_shape)
+    m = len(shape)
+    n_cols = values.shape[1]
+    padded = np.pad(values.reshape(shape + (n_cols,)), [(0, 1)] * m + [(0, 0)], mode="wrap")
+    table = padded.reshape(-1, n_cols)
+    pad_strides = [math.prod(r + 1 for r in shape[a + 1:]) for a in range(m)]
+    scale = np.array(shape, dtype=np.int64) / TWO_PI
 
-    t = pts * (grid_shape / TWO_PI)
-    base = np.floor(t)
-    i0 = base.astype(np.int64)
-    frac = t - base
-
-    out = np.zeros((pts.shape[0], values.shape[1]))
-    for corner in range(1 << m):
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
-        weight = np.ones(pts.shape[0])
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        # corner c = sum_a bit_a 2^a: axis a appends the bit_a = 1 corners
         for a in range(m):
-            bit = (corner >> a) & 1
-            idx = np.mod(i0[:, a] + bit, grid_shape[a])
-            flat += idx * strides[a]
-            weight = weight * (frac[:, a] if bit else 1.0 - frac[:, a])
-        out += weight[:, None] * values[flat, :]
-    return out
+            t = pts[:, a] * scale[a]
+            base = np.floor(t)
+            lo = (base.astype(np.int64) % shape[a]) * pad_strides[a]
+            up = t - base
+            axis = [(lo, 1.0 - up), (lo + pad_strides[a], up)]
+            corners = axis if a == 0 else [(f + fa, w * wa) for fa, wa in axis for f, w in corners]
+        (flat, weight), *rest = corners
+        out = weight[:, None] * table.take(flat, axis=0)
+        for flat, weight in rest:
+            out += weight[:, None] * table.take(flat, axis=0)
+        return out
+
+    return evaluate
+
+
+def interp_periodic(values: np.ndarray, grid_shape, pts: np.ndarray) -> np.ndarray:
+    """Periodic multilinear interpolation: (P, C) values of ``values`` (G, C)
+    at ``pts`` (P, m). See ``periodic_interpolator``."""
+    return periodic_interpolator(values, grid_shape)(pts)
 
 
 def torus_sweep(
@@ -189,8 +210,10 @@ def torus_sweep(
     n_sub = max(1, int(np.ceil(horizon / step)))
     h = horizon / n_sub
 
+    interp = periodic_interpolator(agg, grid_shape)
+
     def rhs(s_now, psi_now):
-        u_at = interp_periodic(agg, grid_shape, psi_now)
+        u_at = interp(psi_now)
         diff = psi_now[:, pair_r] - psi_now[:, pair_s]
         dpsi = -(wbar + (u_at * np.sin(diff)) @ scatter)
         dquad = (np.exp(-gamma * s_now) * mu) * rule_values(rule_kind, rule_offset, rule_table, diff)

@@ -1,4 +1,4 @@
-"""Time integration of the adaptive network and its cluster reduction.
+"""Time integration of the adaptive network.
 
 Full system (receiver-row adjacency a, plasticity rule Gamma):
 
@@ -12,13 +12,6 @@ steps; phases are stored wrapped to [0, 2 pi).
 Given a partition, the intra-cluster errors are e_i = theta_i - theta_{i_s}
 for non-representative nodes i of P_s, wrapped to (-pi, pi] (ties resolved
 toward +pi), listed in ascending node order.
-
-The reduced system lives on the cluster phases phi in T^m and the
-inter-cluster couplings along the canonical edge order:
-
-    dphi_s/dt  = wbar_s + sum_{r != s} sum_{j in P_r} a_{i_s j} k_{i_s j}
-                 sin(phi_r - phi_s)
-    dk_ij/dt   = -gamma k_ij + mu Gamma(phi_r - phi_s)   for (i, j) inter.
 """
 
 from __future__ import annotations
@@ -29,27 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from ._kernels_py import edge_rhs, rule_values
-from .conditions import LearningRule, PlasticityParams
-from .network import (
-    ClusterPartition,
-    EdgeStructure,
-    OscillatorNetwork,
-    compute_cardinalities,
-    inter_cluster_structure,
-)
+from ._kernels_py import edge_rhs
+from .conditions import PlasticityParams
+from .network import ClusterPartition, OscillatorNetwork, inter_cluster_structure
 
 __all__ = [
     "NetworkState",
     "Trajectory",
-    "ReducedState",
     "IntegrationBlowup",
     "initial_state",
     "random_couplings",
     "rhs_full",
-    "rhs_reduced",
-    "inter_coupling_matrix",
-    "inter_forcing_vector",
     "simulate",
     "switch_topology_scenario",
     "error_metrics",
@@ -351,87 +334,6 @@ def rhs_full(net: OscillatorNetwork, pp: PlasticityParams, state: NetworkState):
     dk = np.zeros((net.n_nodes, net.n_nodes))
     dk[recv, src] = dk_edges
     return dtheta, dk
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Cluster phases phi (m,) and inter-cluster couplings along the canonical
-    edge order (c_out,)."""
-
-    phi: np.ndarray
-    k_inter: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
-        k = np.asarray(self.k_inter, dtype=np.float64)
-        if phi.ndim != 1 or k.ndim != 1:
-            raise ValueError("phi and k_inter must be 1-D")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "k_inter", k)
-
-
-def _edge_diffs(structure: EdgeStructure, phi: np.ndarray) -> np.ndarray:
-    """Per-edge phase differences phi_r - phi_s (source minus receiver cluster)."""
-    pair_s = np.array([p[0] for p in structure.pairs], dtype=np.int64)
-    pair_r = np.array([p[1] for p in structure.pairs], dtype=np.int64)
-    s_of_edge = pair_s[structure.edge_pair]
-    r_of_edge = pair_r[structure.edge_pair]
-    return phi[r_of_edge] - phi[s_of_edge]
-
-
-def rhs_reduced(
-    net: OscillatorNetwork,
-    part: ClusterPartition,
-    pp: PlasticityParams,
-    state: ReducedState,
-):
-    """Right-hand side of the reduced system: (dphi (m,), dk_inter (c_out,)).
-
-    Requires uniform inter-cluster counts (the reduction is undefined
-    otherwise).
-    """
-    card = compute_cardinalities(net, part)
-    if not card.a2_holds:
-        raise ValueError("inter-cluster counts are not uniform; reduced system undefined")
-    structure = inter_cluster_structure(net, part)
-    if state.phi.shape[0] != part.m or state.k_inter.shape[0] != structure.c_out:
-        raise ValueError("reduced state dimensions do not match (m, c_out)")
-
-    kind, offset, table = pp.rule.kernel_encoding()
-    diffs = _edge_diffs(structure, state.phi)
-    per_pair = structure.rep_aggregation @ (state.k_inter * np.sin(diffs))
-    wbar = net.frequencies[list(part.representatives)]
-    dphi = wbar.copy()
-    for p, (s, _r) in enumerate(structure.pairs):
-        dphi[s] += per_pair[p]
-    dk = -pp.gamma * state.k_inter + pp.mu * rule_values(kind, offset, table, diffs)
-    return dphi, dk
-
-
-def inter_coupling_matrix(
-    net: OscillatorNetwork, part: ClusterPartition, phi
-) -> np.ndarray:
-    """Drift matrix B(phi): (m, c_out) with B[s, e] = a_{i_s j} sin(phi_r - phi_s)
-    for edges e = (i_s, j) received by the representative of P_s, else 0."""
-    structure = inter_cluster_structure(net, part)
-    phi = np.asarray(phi, dtype=np.float64)
-    diffs = _edge_diffs(structure, phi)
-    out = np.zeros((part.m, structure.c_out))
-    pair_s = np.array([p[0] for p in structure.pairs], dtype=np.int64)
-    for e in range(structure.c_out):
-        p = structure.edge_pair[e]
-        if structure.rep_aggregation[p, e]:
-            out[pair_s[p], e] = np.sin(diffs[e])
-    return out
-
-
-def inter_forcing_vector(
-    net: OscillatorNetwork, part: ClusterPartition, rule: LearningRule, phi
-) -> np.ndarray:
-    """Forcing G(phi): (c_out,) with entries Gamma(phi_r - phi_s) per edge."""
-    structure = inter_cluster_structure(net, part)
-    phi = np.asarray(phi, dtype=np.float64)
-    return np.asarray(rule(_edge_diffs(structure, phi)))
 
 
 # -- two coupled oscillators with a fixed coupling ----------------------------

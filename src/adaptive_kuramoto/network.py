@@ -292,11 +292,12 @@ def apply_perturbation(net: OscillatorNetwork, tilde_a) -> OscillatorNetwork:
 
 @dataclass(frozen=True)
 class EdgeStructure:
-    """Canonical inter-cluster edge bookkeeping shared by the reduced system.
+    """Canonical inter-cluster edge bookkeeping for the torus solver.
 
     Edges are (receiver, source) pairs in row-major order over the adjacency,
     restricted to inter-cluster entries. ``pairs`` lists all ordered cluster
-    pairs (s, r), s != r, lexicographically; ``edge_pair[e]`` indexes into it.
+    pairs (s, r), s != r, lexicographically; ``edge_pair[e]`` indexes into it,
+    and ``pair_s`` / ``pair_r`` hold the receiving / sending cluster of each.
     ``rep_counts[s, r]`` counts inputs the representative of P_s receives from
     P_r. ``rep_aggregation`` is the (n_pairs, c_out) 0/1 matrix whose product
     with a per-edge vector yields, for each pair (s, r), the sum over the
@@ -306,6 +307,8 @@ class EdgeStructure:
     edges: IntArray
     edge_pair: IntArray
     pairs: tuple[tuple[int, int], ...]
+    pair_s: IntArray
+    pair_r: IntArray
     rep_counts: IntArray
     rep_aggregation: IntArray
     intra_edges: IntArray
@@ -357,6 +360,8 @@ def inter_cluster_structure(
         edges=_readonly(edges, np.int64),
         edge_pair=_readonly(edge_pair, np.int64),
         pairs=pairs,
+        pair_s=_readonly([s for s, _ in pairs], np.int64),
+        pair_r=_readonly([r for _, r in pairs], np.int64),
         rep_counts=_readonly(rep_counts, np.int64),
         rep_aggregation=_readonly(agg, np.int64),
         intra_edges=_readonly(intra, np.int64),

@@ -188,12 +188,6 @@ class IterationLog:
         }
 
 
-def _pair_arrays(structure: EdgeStructure) -> tuple[np.ndarray, np.ndarray]:
-    pair_s = np.array([p[0] for p in structure.pairs], dtype=np.int64)
-    pair_r = np.array([p[1] for p in structure.pairs], dtype=np.int64)
-    return pair_s, pair_r
-
-
 def _sweep_values(
     flat: np.ndarray,
     structure: EdgeStructure,
@@ -205,14 +199,13 @@ def _sweep_values(
     horizon: float,
 ) -> np.ndarray:
     """One successive-approximation pass on flattened values (G, c_out)."""
-    pair_s, pair_r = _pair_arrays(structure)
     agg = flat @ structure.rep_aggregation.T.astype(np.float64)
     kind, offset, table = pp.rule.kernel_encoding()
     out_pairs = _backend.torus_sweep(
         agg,
         np.full(m, resolution, dtype=np.int64),
-        pair_s,
-        pair_r,
+        structure.pair_s,
+        structure.pair_r,
         wbar,
         pp.gamma,
         pp.mu,
@@ -372,9 +365,8 @@ def invariance_residual(
 
     pts = grid_points((res,) * m)  # (G, m)
     flat = u.flat_values()
-    pair_s, pair_r = _pair_arrays(structure)
-    s_of_edge = pair_s[structure.edge_pair]
-    r_of_edge = pair_r[structure.edge_pair]
+    s_of_edge = structure.pair_s[structure.edge_pair]
+    r_of_edge = structure.pair_r[structure.edge_pair]
     diffs = pts[:, r_of_edge] - pts[:, s_of_edge]  # (G, c_out)
 
     # drift wbar + B u, summing representative-received edge components

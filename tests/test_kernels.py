@@ -1,5 +1,6 @@
-"""Compiled and pure-numpy kernels must agree to rounding, and the numpy
-integrator with a per-edge pure-Python RK4."""
+"""Compiled and pure-numpy kernels must agree to rounding; the numpy
+integrator and torus sweep must agree with per-edge and per-point pure-Python
+RK4, and the prepared interpolator bit for bit with the per-corner form."""
 
 import math
 import os
@@ -81,6 +82,50 @@ def test_interp_periodic_2d_multicolumn():
     assert np.abs(got - want).max() < 0.35  # bilinear on a coarse grid
     exact = _kernels_py.interp_periodic(values, shape, pts)
     assert np.allclose(exact, values)
+
+
+def _interp_per_corner(values, grid_shape, pts):
+    """Periodic multilinear interpolation one corner at a time, reducing every
+    corner index mod the grid: the form the prepared interpolator replaces."""
+    grid_shape = np.asarray(grid_shape, dtype=np.int64)
+    m = grid_shape.size
+    strides = np.ones(m, dtype=np.int64)
+    for a in range(m - 2, -1, -1):
+        strides[a] = strides[a + 1] * grid_shape[a + 1]
+
+    t = pts * (grid_shape / (2 * np.pi))
+    base = np.floor(t)
+    i0 = base.astype(np.int64)
+    frac = t - base
+
+    out = np.zeros((pts.shape[0], values.shape[1]))
+    for corner in range(1 << m):
+        flat = np.zeros(pts.shape[0], dtype=np.int64)
+        weight = np.ones(pts.shape[0])
+        for a in range(m):
+            bit = (corner >> a) & 1
+            idx = np.mod(i0[:, a] + bit, grid_shape[a])
+            flat += idx * strides[a]
+            weight = weight * (frac[:, a] if bit else 1.0 - frac[:, a])
+        out += weight[:, None] * values[flat, :]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 8), (4, 6, 3)], ids=["m1", "m2", "m3"])
+def test_periodic_interpolator_matches_per_corner_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=(int(np.prod(shape)), 3))
+    nodes = _kernels_py.grid_points(shape)
+    interp = _kernels_py.periodic_interpolator(values, shape)
+    for pts in (
+        rng.uniform(-10.0, 20.0, size=(300, len(shape))),  # negative and above 2 pi
+        nodes,
+        nodes + 2 * np.pi,
+        nodes - 4 * np.pi,
+    ):
+        want = _interp_per_corner(values, shape, pts)
+        assert np.array_equal(interp(pts), want)
+        assert np.array_equal(_kernels_py.interp_periodic(values, shape, pts), want)
 
 
 def test_rule_values_match_rule_objects():
@@ -209,6 +254,72 @@ def test_integrate_network_matches_per_edge_reference(rule, ref_rule, gamma, blo
         assert max(abs(ks[rec][e] - v) for e, v in k_ref.items()) <= 1e-11
 
 
+def _bilinear(column, res, x, y):
+    """Scalar periodic bilinear lookup of column (res * res,) at (x, y)."""
+    tx, ty = x * res / (2 * math.pi), y * res / (2 * math.pi)
+    ix, iy = math.floor(tx), math.floor(ty)
+    fx, fy = tx - ix, ty - iy
+
+    def at(i, j):
+        return column[(i % res) * res + j % res]
+
+    return (
+        at(ix, iy) * (1.0 - fx) * (1.0 - fy)
+        + at(ix + 1, iy) * fx * (1.0 - fy)
+        + at(ix, iy + 1) * (1.0 - fx) * fy
+        + at(ix + 1, iy + 1) * fx * fy
+    )
+
+
+def _reference_sweep(agg, res, pairs, wbar, gamma, mu, rule, horizon, step):
+    """Per-grid-point RK4 of the time-reversed drift and the quadrature, in
+    plain floats on a res x res grid; returns (res * res, n_pairs)."""
+    n_sub = max(1, math.ceil(horizon / step))
+    h = horizon / n_sub
+    columns = [agg[:, p].tolist() for p in range(len(pairs))]
+
+    def rhs(s, psi):
+        dpsi = [-w for w in wbar]
+        dquad = []
+        for p, (ps, pr) in enumerate(pairs):
+            d = psi[pr] - psi[ps]
+            dpsi[ps] -= _bilinear(columns[p], res, psi[0], psi[1]) * math.sin(d)
+            dquad.append(math.exp(-gamma * s) * mu * rule(d))
+        return dpsi + dquad
+
+    out = []
+    for i in range(res):
+        for j in range(res):
+            y = [2 * math.pi * i / res, 2 * math.pi * j / res] + [0.0] * len(pairs)
+            s = 0.0
+            for _ in range(n_sub):
+                k1 = rhs(s, y)
+                k2 = rhs(s + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k1)])
+                k3 = rhs(s + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k2)])
+                k4 = rhs(s + h, [a + h * b for a, b in zip(y, k3)])
+                y = [a + h / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+                s += h
+            out.append(y[2:])
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "rule, ref_rule", [REFERENCE_RULES[0], REFERENCE_RULES[2]], ids=["hebbian", "tabulated"]
+)
+def test_torus_sweep_matches_per_point_reference(rule, ref_rule):
+    res, pairs = 4, ((0, 1), (1, 0))
+    rng = np.random.default_rng(17)
+    agg = rng.uniform(-0.5, 0.5, size=(res * res, len(pairs)))  # no symmetry to hide behind
+    wbar, gamma, mu = [0.5, 0.47], 0.8, 0.3
+    kind, offset, table = rule.kernel_encoding()
+    got = _kernels_py.torus_sweep(
+        agg, (res, res), np.array([0, 1]), np.array([1, 0]), np.array(wbar),
+        gamma, mu, kind, offset, table, 0.5, 0.05,
+    )
+    want = _reference_sweep(agg, res, pairs, wbar, gamma, mu, ref_rule, 0.5, 0.05)
+    assert np.abs(got - want).max() <= 1e-13
+
+
 @needs_compiled
 def test_integrate_network_backends_agree():
     adj, w, theta0, k0 = _setup_five()
@@ -227,13 +338,15 @@ def test_torus_sweep_backends_agree(five_node):
     structure = inter_cluster_structure(net, part)
     res = 8
     grid_shape = np.full(2, res, dtype=np.int64)
-    g = res * res
-    agg = np.zeros((g, structure.n_pairs))
-    pair_s = np.array([p[0] for p in structure.pairs], dtype=np.int64)
-    pair_r = np.array([p[1] for p in structure.pairs], dtype=np.int64)
+    phi = _kernels_py.grid_points(grid_shape)
+    # nonzero, so the parity covers the interpolation of the previous iterate
+    agg = np.repeat(0.01 * np.cos(phi[:, [0]] - 2.0 * phi[:, [1]]), structure.n_pairs, axis=1)
     wbar = np.array([0.5, np.sqrt(2) / 3])
     kind, offset, table = pp.rule.kernel_encoding()
-    args = (agg, grid_shape, pair_s, pair_r, wbar, pp.gamma, pp.mu, kind, offset, table, 40.0, 0.01)
+    args = (
+        agg, grid_shape, structure.pair_s, structure.pair_r, wbar,
+        pp.gamma, pp.mu, kind, offset, table, 40.0, 0.01,
+    )
     out_py = _kernels_py.torus_sweep(*args, 0)
     out_cy = _kernels_cy.torus_sweep(*args, 0)
     assert np.abs(out_py - out_cy).max() < 1e-12

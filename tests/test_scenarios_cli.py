@@ -1,13 +1,16 @@
 """Scenario schema, expectation engine, and CLI behavior."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import adaptive_kuramoto
 from adaptive_kuramoto.cli import main
 from adaptive_kuramoto.scenarios import (
     Expectation,
@@ -226,6 +229,25 @@ def test_cli_entry_point_installed():
         pytest.skip("console script not on PATH")
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert out.returncode == 0
+    for word in ("check", "simulate", "torus", "design", "two-osc", "switch", "reproduce-all"):
+        assert word in out.stdout
+
+
+def test_cli_runs_as_module():
+    # the child must import the same copy of the package as this process,
+    # installed or not, so its parent directory goes first on PYTHONPATH
+    package_root = str(Path(adaptive_kuramoto.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "adaptive_kuramoto", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
     for word in ("check", "simulate", "torus", "design", "two-osc", "switch", "reproduce-all"):
         assert word in out.stdout
 
