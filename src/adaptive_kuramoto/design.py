@@ -2,17 +2,26 @@
 
 Natural frequencies are fixed; the only actuator is adding or removing
 directed edges. A signed edit mask (PerturbationMatrix) makes the per-pair
-incoming counts uniform at chosen targets, which restores the count
-uniformity requirement by construction; the rate inequalities are then
-evaluated on the edited network.
+incoming counts uniform at chosen targets T, which restores the count
+uniformity requirement by construction.
 
 The search enumerates per-pair target counts, orders candidates by ascending
 total edit cost (then smaller c_max, then smaller total count, then the
 target tuple itself, so results are deterministic), and returns the first
-candidate whose edited network passes the full sufficient-condition check
-within the edit budget. When none passes, the result is infeasible and
-carries the most promising affordable candidate (lowest ratio) as a
-diagnostic.
+candidate within the edit budget whose edited network passes the sufficient
+conditions. When none passes, the result is infeasible and carries the most
+promising affordable candidate (lowest ratio) as a diagnostic, or the
+cheapest candidate when none is affordable.
+
+Candidates are scored in closed form from T alone. On the edited network
+c_sr = T_sr, c_max is the largest row sum of T, sum c_sr = sum T and
+c_out = sum_s |P_s| sum_{r != s} T_sr, while the frequency condition does
+not depend on edits and is checked before the search. So the rate
+inequalities of a candidate are one ``_a3_quantities`` call with the integers
+the full check would pass. Only the returned candidate gets an edit mask and
+the full ``check_perturbed_conditions`` report, and a report that disagrees
+with the closed form raises. A search with more than MAX_DESIGN_CANDIDATES
+target tables fails fast, before any candidate is built.
 
 Edit placement is deterministic: surplus inputs are removed starting from the
 lowest source index, deficits are filled from the lowest-index non-neighbors.
@@ -28,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, PlasticityParams, check_perturbed_conditions
+from .conditions import (
+    ConditionReport, PlasticityParams, _a3_quantities, check_perturbed_conditions,
+)
 from .network import (
     ClusterPartition,
     IntArray,
@@ -46,6 +57,8 @@ __all__ = [
     "design_topology",
     "c_tilde_out",
 ]
+
+MAX_DESIGN_CANDIDATES = 1_000_000  # about 0.23 GB and 4 s of candidate tuples
 
 
 @dataclass(frozen=True)
@@ -178,26 +191,46 @@ def min_edits_for_targets(
 
 
 def _candidate_order(per_node: np.ndarray, part: ClusterPartition):
-    """All target matrices with per-pair entries in [0, min(|P_r|, max+1)],
-    sorted by (total edit cost, c_max, total count, entries)."""
-    m = part.m
-    pairs = [(s, r) for s in range(m) for r in range(m) if s != r]
-    options = []
-    for s, r in pairs:
-        counts = per_node[list(part.clusters[s]), r]
-        upper = min(len(part.clusters[r]), int(counts.max()) + 1)
-        costs = {t: int(np.abs(counts - t).sum()) for t in range(upper + 1)}
-        options.append(costs)
+    """All target tables with per-pair entries in [0, min(|P_r|, max+1)], as
+    (total edit cost, c_max, total count, entries, c_out) tuples sorted in
+    that order. The entries are unique, so c_out never decides the order.
 
+    Raises before building anything when there are more than
+    MAX_DESIGN_CANDIDATES tables.
+    """
+    m = part.m
+    sizes = [len(cluster) for cluster in part.clusters]
+    row_costs = []  # row_costs[s][k][t]: edits that bring row s's k-th pair to t
+    for s in range(m):
+        costs = []
+        for r in range(m):
+            if r != s:
+                counts = per_node[list(part.clusters[s]), r]
+                upper = min(sizes[r], int(counts.max()) + 1)
+                costs.append([int(np.abs(counts - t).sum()) for t in range(upper + 1)])
+        row_costs.append(costs)
+    count = math.prod(len(c) for costs in row_costs for c in costs)
+    if count > MAX_DESIGN_CANDIDATES:
+        raise ValueError(
+            f"design search has {count} candidate target tables, more than "
+            f"the limit of {MAX_DESIGN_CANDIDATES}"
+        )
+
+    # a table is one choice per row: (entries, cost, row sum, c_out share)
+    row_options = [
+        [
+            (row, sum(map(list.__getitem__, costs, row)), sum(row), sizes[s] * sum(row))
+            for row in itertools.product(*(range(len(c)) for c in costs))
+        ]
+        for s, costs in enumerate(row_costs)
+    ]
     candidates = []
-    for combo in itertools.product(*(sorted(o) for o in options)):
-        cost = sum(options[k][t] for k, t in enumerate(combo))
-        matrix = np.zeros((m, m), dtype=np.int64)
-        for (s, r), t in zip(pairs, combo):
-            matrix[s, r] = t
-        cmax = int(matrix.sum(axis=1).max()) if m > 1 else 0
-        candidates.append((cost, cmax, int(matrix.sum()), combo, matrix))
-    candidates.sort(key=lambda c: c[:4])
+    for choice in itertools.product(*row_options):
+        rows, row_cost, row_sum, row_out = zip(*choice)
+        candidates.append(
+            (sum(row_cost), max(row_sum), sum(row_sum), sum(rows, ()), sum(row_out))
+        )
+    candidates.sort()
     return candidates
 
 
@@ -225,34 +258,47 @@ def design_topology(
         )
 
     per_node = compute_cardinalities(net, part).per_node_incoming
-    best = None  # (ratio_key, cost, DesignResult)
-    fallback = None  # cheapest candidate, evaluated even when unaffordable
-    for cost, _cmax, _total, _combo, matrix in _candidate_order(per_node, part):
-        affordable = cost <= max_edits
-        if not affordable and fallback is not None:
-            continue
-        tilde = min_edits_for_targets(net, part, matrix)
-        report = check_perturbed_conditions(net, tilde, part, pp, freq_tol)
-        result = DesignResult(
-            feasible=affordable and report.overall,
-            edits=tilde.edit_count,
-            targets=matrix,
-            perturbation=tilde,
-            report=report,
-        )
-        if fallback is None:
-            fallback = result
-        if not affordable:
-            continue
-        if result.feasible:
-            return result
-        ratio_key = report.ratio_a3 if math.isfinite(report.ratio_a3) else math.inf
-        if best is None or (ratio_key, cost) < best[:2]:
-            best = (ratio_key, cost, result)
+    order = _candidate_order(per_node, part)
+    w_abs = np.abs(net.frequencies)
+    w_min, w_max = float(w_abs.min()), float(w_abs.max())
 
-    if best is not None:
-        return best[2]
-    return fallback
+    chosen = None
+    best = None  # (ratio_key, cost, candidate)
+    for candidate in order:
+        cost, c_max, total, _combo, c_out = candidate
+        if cost > max_edits:
+            break  # sorted by cost: no later candidate is affordable either
+        lhs, ratio = _a3_quantities(w_min, w_max, pp, c_max, total, c_out)
+        if lhs > 0.0 and ratio < 1.0:
+            chosen = candidate
+            break
+        ratio_key = ratio if math.isfinite(ratio) else math.inf
+        if best is None or (ratio_key, cost) < best[:2]:
+            best = (ratio_key, cost, candidate)
+    if chosen is None:
+        # the most promising affordable candidate, else the cheapest one
+        chosen = best[2] if best is not None else order[0]
+
+    cost, c_max, total, combo, c_out = chosen
+    lhs, ratio = _a3_quantities(w_min, w_max, pp, c_max, total, c_out)
+    passes = lhs > 0.0 and ratio < 1.0
+    targets = np.zeros((part.m, part.m), dtype=np.int64)
+    targets[~np.eye(part.m, dtype=bool)] = combo  # row-major, diagonal skipped
+    tilde = min_edits_for_targets(net, part, targets)
+    report = check_perturbed_conditions(net, tilde, part, pp, freq_tol)
+    if report.overall != passes or report.ratio_a3 != ratio:
+        raise RuntimeError(
+            f"closed-form score (pass {passes}, ratio {ratio!r}) disagrees with the "
+            f"check of targets {targets.tolist()} (pass {report.overall}, "
+            f"ratio {report.ratio_a3!r})"
+        )
+    return DesignResult(
+        feasible=cost <= max_edits and passes,
+        edits=tilde.edit_count,
+        targets=targets,
+        perturbation=tilde,
+        report=report,
+    )
 
 
 def _all_legal_masks(net: OscillatorNetwork, positions, budget: int):

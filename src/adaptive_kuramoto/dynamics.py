@@ -93,11 +93,15 @@ def initial_state(net: OscillatorNetwork, phases, couplings=None) -> NetworkStat
     )
     if state.phases.shape[0] != net.n_nodes:
         raise ValueError(f"expected {net.n_nodes} phases, got {state.phases.shape[0]}")
-    off_edges = (net.adjacency == 0) & (state.couplings != 0.0)
+    _check_off_edge_couplings(net, state.couplings)
+    return state
+
+
+def _check_off_edge_couplings(net: OscillatorNetwork, couplings: np.ndarray) -> None:
+    off_edges = (net.adjacency == 0) & (couplings != 0.0)
     if off_edges.any():
         i, j = np.argwhere(off_edges)[0]
         raise ValueError(f"coupling ({i}, {j}) is nonzero but there is no such edge")
-    return state
 
 
 def random_couplings(net: OscillatorNetwork, low: float, high: float, seed: int) -> np.ndarray:
@@ -219,6 +223,16 @@ def _build_trajectory(times, thetas, ks, net, part, k_edges) -> Trajectory:
     )
 
 
+def _check_blowup(times, thetas, ks, n_valid, net, part, k_edges) -> None:
+    """Raise IntegrationBlowup carrying the first ``n_valid`` records when
+    that is fewer than all of them."""
+    if n_valid < times.shape[0]:
+        prefix = _build_trajectory(
+            times[:n_valid], thetas[:n_valid], ks[:n_valid], net, part, k_edges
+        )
+        raise IntegrationBlowup(float(times[n_valid - 1]), prefix)
+
+
 def simulate(
     net: OscillatorNetwork,
     pp: PlasticityParams,
@@ -239,10 +253,7 @@ def simulate(
         raise ValueError("initial state size does not match the network")
     if partition is not None and partition.n_nodes != net.n_nodes:
         raise ValueError("partition does not match the network")
-    off_edges = (net.adjacency == 0) & (initial.couplings != 0.0)
-    if off_edges.any():
-        i, j = np.argwhere(off_edges)[0]
-        raise ValueError(f"coupling ({i}, {j}) is nonzero but there is no such edge")
+    _check_off_edge_couplings(net, initial.couplings)
 
     n_steps = _resolve_steps(t_end, step, record_stride)
     thetas, ks, n_valid = _run(
@@ -250,11 +261,7 @@ def simulate(
     )
     times = _record_times(n_steps, step, record_stride)
     k_edges = tuple((int(i), int(j)) for i, j in net.edges())
-    if n_valid < times.shape[0]:
-        prefix = _build_trajectory(
-            times[:n_valid], thetas[:n_valid], ks[:n_valid], net, partition, k_edges
-        )
-        raise IntegrationBlowup(float(times[n_valid - 1]), prefix)
+    _check_blowup(times, thetas, ks, n_valid, net, partition, k_edges)
     return _build_trajectory(times, thetas, ks, net, partition, k_edges)
 
 
@@ -296,11 +303,7 @@ def switch_topology_scenario(
         (int(i), int(j))
         for i, j in np.argwhere((net_before.adjacency + net_after.adjacency) > 0)
     )
-    if v1 < times1.shape[0]:
-        prefix = _build_trajectory(
-            times1[:v1], thetas1[:v1], ks1[:v1], net_before, partition, union_edges
-        )
-        raise IntegrationBlowup(float(times1[v1 - 1]), prefix)
+    _check_blowup(times1, thetas1, ks1, v1, net_before, partition, union_edges)
 
     thetas2, ks2, v2 = _run(
         net_after, pp, thetas1[-1], ks1[-1], n2, step, record_stride
@@ -309,12 +312,8 @@ def switch_topology_scenario(
     times = np.concatenate([times1, times2[1:]])
     thetas = np.concatenate([thetas1, thetas2[1:]], axis=0)
     ks = np.concatenate([ks1, ks2[1:]], axis=0)
-    if v2 < times2.shape[0]:
-        keep = times1.shape[0] + v2 - 1
-        prefix = _build_trajectory(
-            times[:keep], thetas[:keep], ks[:keep], net_after, partition, union_edges
-        )
-        raise IntegrationBlowup(float(times[keep - 1]), prefix)
+    keep = times1.shape[0] + v2 - 1  # the switch record is shared
+    _check_blowup(times, thetas, ks, keep, net_after, partition, union_edges)
     return _build_trajectory(times, thetas, ks, net_after, partition, union_edges)
 
 

@@ -122,6 +122,7 @@ def test_solve_converges_geometrically(five_solution, five_node):
     assert u.sup_norm() <= bound
 
 
+@pytest.mark.slow
 def test_resolution_refinement_consistent(five_node, five_solution):
     net, part, pp = five_node
     u16, _ = five_solution
