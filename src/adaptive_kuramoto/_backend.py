@@ -1,9 +1,14 @@
 """Numeric backend selection.
 
-The compiled extension is preferred when importable; the pure-numpy twin in
-_kernels_py is the fallback. Setting ADAPTIVE_KURAMOTO_BACKEND=python forces
-the fallback (used by the benchmark and for debugging). Both backends share
-one API and produce matching results to rounding.
+The compiled extension is preferred for the network integrator when
+importable; the pure-numpy twin in _kernels_py is the fallback. Setting
+ADAPTIVE_KURAMOTO_BACKEND=python forces the fallback (used by the benchmark
+and for debugging). Both backends share one API and produce matching results
+to rounding.
+
+The torus sweep is the numpy kernel on both backends: it integrates from the
+start points its caller passes (``points``, one per diagonal orbit of the
+grid), which the compiled sweep cannot take.
 """
 
 from __future__ import annotations
@@ -22,14 +27,4 @@ if os.environ.get("ADAPTIVE_KURAMOTO_BACKEND", "").strip().lower() == "python":
 
 BACKEND = _impl.BACKEND_NAME
 integrate_network = _impl.integrate_network
-torus_sweep = _impl.torus_sweep
-
-
-def thread_count() -> int:
-    """Torus-sweep worker threads from ADAPTIVE_KURAMOTO_THREADS; 0 means
-    let the OpenMP runtime decide (the numpy backend is single-threaded)."""
-    raw = os.environ.get("ADAPTIVE_KURAMOTO_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+torus_sweep = _kernels_py.torus_sweep

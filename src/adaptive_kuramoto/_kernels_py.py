@@ -16,16 +16,18 @@ Both backends expose the same two entry points with identical semantics:
     it costs O(N + E), and the dense matrix is written once per snapshot.
 
 ``torus_sweep``
-    One pass of the successive approximation for the invariant torus. For
-    every grid point phi of the uniform grid on [0, 2 pi)^m it integrates the
-    time-reversed drift
+    One pass of the successive approximation for the invariant torus. From
+    every start point phi it integrates the time-reversed drift
         dpsi/ds = -(wbar_s + sum_pairs agg_(s,r)(psi) sin(psi_r - psi_s))
     from psi(0) = phi over s in [0, horizon] while accumulating the quadrature
         I_p = int_0^horizon e^(-gamma s) mu Gamma(psi_r - psi_s) ds
     per ordered cluster pair p = (s, r), with RK4 on the augmented state so
     the quadrature weights are Simpson-consistent with the trajectory stages.
-    ``agg`` holds the representative-received per-pair sums of the previous
-    iterate on the grid and is evaluated by periodic multilinear interpolation.
+    The start points are the keyword-only ``points`` (P, m), by default every
+    point of the uniform grid on [0, 2 pi)^m in row-major order; the result
+    has one row per start point. ``agg`` holds the representative-received
+    per-pair sums of the previous iterate on the grid and is evaluated by
+    periodic multilinear interpolation.
     The interpolation is prepared once per sweep (``periodic_interpolator``)
     on a grid padded by one wrapped layer per axis: each stage reduces the
     cell index mod the grid once, builds the 2^m corner indices and weights
@@ -35,8 +37,8 @@ Both backends expose the same two entry points with identical semantics:
 Rules are encoded as (kind, offset, table): kind 0 is cos(s), kind 1 is
 cos(s - offset), kind 2 interpolates ``table`` linearly and periodically.
 
-The ``num_threads`` argument is accepted for signature compatibility; this
-backend is single-threaded.
+The compiled ``torus_sweep`` takes no ``points`` (it sweeps the full grid and
+has a trailing thread count), so the package runs this one on both backends.
 """
 
 from __future__ import annotations
@@ -192,15 +194,15 @@ def torus_sweep(
     rule_table: np.ndarray,
     horizon: float,
     step: float,
-    num_threads: int = 0,
+    *,
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
     """One successive-approximation pass; returns the per-pair new iterate
-    (G, n_pairs) on the same grid."""
+    (P, n_pairs) at the start points, by default the whole grid (P = G)."""
     grid_shape = tuple(int(r) for r in grid_shape)
     n_pairs = pair_s.shape[0]
-    psi = grid_points(grid_shape)
-    g_count = psi.shape[0]
-    quad = np.zeros((g_count, n_pairs))
+    psi = grid_points(grid_shape) if points is None else np.asarray(points, dtype=np.float64)
+    quad = np.zeros((psi.shape[0], n_pairs))
 
     # scatter matrix: contribution of pair (s, r) lands in component s of dpsi
     m = len(grid_shape)

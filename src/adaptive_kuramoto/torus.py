@@ -20,6 +20,22 @@ the same ordered cluster pair coincide (the integrand depends on the pair
 only), which the implementation exploits by iterating per pair and
 broadcasting to edges.
 
+The drift wbar_s + sum_r u_sr sin(phi_r - phi_s) and the forcing
+mu Gamma(phi_r - phi_s) depend on phase differences only. So when u is
+unchanged by the common rotation phi -> phi + c (1, ..., 1), the backward
+trajectory from phi + c (1, ..., 1) is the one from phi rotated by c, and the
+new iterate is unchanged by the rotation too. On the grid the rotation by
+one step per axis maps the grid to itself, so every iterate from u = 0 is
+constant along the grid diagonals. A pass whose previous iterate is
+invariant (to within ORBIT_DEFECT_EPS rounding units) therefore integrates
+only one start point per diagonal orbit, the R^(m-1) points with phi_0 = 0,
+and copies each value to the R points of its orbit: grid point
+(i_0, ..., i_(m-1)) takes the value at (0, i_1 - i_0, ..., i_(m-1) - i_0)
+mod R. The copies make the new iterate exactly invariant, so the next pass
+is reduced as well. Any other previous iterate is swept from every grid
+point. Grids of more than MAX_TORUS_VALUES values are refused before any
+allocation.
+
 The invariance defect of a candidate u is measured as
 
     max over grid points of | (du/dphi)(wbar + B u) + gamma u - mu G |
@@ -63,6 +79,8 @@ __all__ = [
 ]
 
 RESIDUAL_MIN_RESOLUTION = 16  # smallest grid invariance_residual accepts
+MAX_TORUS_VALUES = 4_000_000  # R^m x c_out: 32 MB a copy; a five-node full-grid pass peaks near 4
+ORBIT_DEFECT_EPS = 64  # diagonal-shift defect of agg, in eps x max|agg|, that counts as invariant
 
 
 class ConditionsNotSatisfied(RuntimeError):
@@ -188,6 +206,19 @@ class IterationLog:
         }
 
 
+def _orbit_index(agg: np.ndarray, resolution: int, m: int) -> np.ndarray | None:
+    """Row of each grid point's orbit representative in
+    grid_points((1,) + (R,)*(m-1)), or None when ``agg`` is not invariant
+    under the one-step diagonal shift of the grid."""
+    grid = agg.reshape((resolution,) * m + (agg.shape[1],))
+    shifted = np.roll(grid, 1, axis=tuple(range(m)))
+    defect = np.abs(grid - shifted).max(initial=0.0)
+    if defect > ORBIT_DEFECT_EPS * np.finfo(np.float64).eps * np.abs(agg).max(initial=0.0):
+        return None
+    index = np.indices((resolution,) * m).reshape(m, -1)
+    return ((index[1:] - index[0]) % resolution).T @ resolution ** np.arange(m - 2, -1, -1)
+
+
 def _sweep_values(
     flat: np.ndarray,
     structure: EdgeStructure,
@@ -201,6 +232,7 @@ def _sweep_values(
     """One successive-approximation pass on flattened values (G, c_out)."""
     agg = flat @ structure.rep_aggregation.T.astype(np.float64)
     kind, offset, table = pp.rule.kernel_encoding()
+    orbit = _orbit_index(agg, resolution, m)
     out_pairs = _backend.torus_sweep(
         agg,
         np.full(m, resolution, dtype=np.int64),
@@ -214,11 +246,28 @@ def _sweep_values(
         table,
         horizon,
         step,
-        _backend.thread_count(),
+        points=None if orbit is None else grid_points((1,) + (resolution,) * (m - 1)),
     )
     if not np.isfinite(out_pairs).all():
         raise RuntimeError("non-finite values in the torus iteration quadrature")
+    if orbit is not None:
+        out_pairs = out_pairs[orbit]
     return out_pairs[:, structure.edge_pair]
+
+
+def _require_finite_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_grid_size(resolution: int, m: int, c_out: int) -> None:
+    count = resolution**m * max(c_out, 1)
+    if count > MAX_TORUS_VALUES:
+        raise ValueError(
+            f"torus grid R^m x c_out = {resolution}^{m} x {c_out} needs {count} values, "
+            f"more than the limit of {MAX_TORUS_VALUES}"
+        )
 
 
 def _check_iteration_preconditions(net, part, pp, force: bool, need_overall: bool):
@@ -269,14 +318,18 @@ def iterate_once(
     step: float = 0.01,
     force: bool = False,
 ) -> TorusFunction:
-    """One successive-approximation pass applied to ``u_prev``."""
-    structure = inter_cluster_structure(net, part)
-    _validate_compat(u_prev, structure, part.m)
-    _check_iteration_preconditions(net, part, pp, force, need_overall=False)
+    """One successive-approximation pass applied to ``u_prev``.
+
+    Raises ValueError before the sweep unless ``step`` and ``horizon`` are
+    finite and > 0 and the grid holds at most MAX_TORUS_VALUES values.
+    """
     if horizon is None:
         horizon = 40.0 / pp.gamma
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be > 0")
+    _require_finite_positive(step=step, horizon=horizon)
+    structure = inter_cluster_structure(net, part)
+    _validate_compat(u_prev, structure, part.m)
+    _check_grid_size(u_prev.resolution, part.m, structure.c_out)
+    _check_iteration_preconditions(net, part, pp, force, need_overall=False)
     wbar = net.frequencies[list(part.representatives)]
     flat = _sweep_values(
         u_prev.flat_values(), structure, wbar, pp, u_prev.resolution, part.m, step, horizon
@@ -299,19 +352,22 @@ def solve_torus(
     """Iterate from u = 0 until |u^(l+1) - u^(l)|_0 < tol.
 
     Refuses to run when the sufficient conditions fail, unless ``force``.
-    Raises NoConvergence when the budget is exhausted.
+    Raises ValueError before any sweep unless ``max_iter`` >= 1, ``tol``,
+    ``step`` and ``horizon`` are finite and > 0, and the R^m x c_out grid
+    holds at most MAX_TORUS_VALUES values. Raises NoConvergence when the
+    budget is exhausted.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    report = _check_iteration_preconditions(net, part, pp, force, need_overall=True)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if horizon is None:
         horizon = 40.0 / pp.gamma
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be > 0")
-
+    _require_finite_positive(tol=tol, step=step, horizon=horizon)
     structure = inter_cluster_structure(net, part)
+    _check_grid_size(resolution, part.m, structure.c_out)
+    report = _check_iteration_preconditions(net, part, pp, force, need_overall=True)
+
     theoretical = (
         report.ratio_a3 if report.a2_holds and math.isfinite(report.ratio_a3) else math.nan
     )

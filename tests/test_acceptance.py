@@ -259,7 +259,6 @@ def test_criterion_05_topology_switch(seven_node_original, seven_node_fixed):
     )
 
 
-@pytest.mark.slow
 def test_criterion_06_torus_iteration_contraction(five_node, torus64):
     net, part, pp = five_node
     u64, log = torus64
@@ -299,7 +298,6 @@ def test_criterion_06_torus_iteration_contraction(five_node, torus64):
     )
 
 
-@pytest.mark.slow
 def test_criterion_07_invariance_at_resolution_128(five_node, torus128):
     net, part, pp = five_node
     u = torus128

@@ -347,6 +347,6 @@ def test_torus_sweep_backends_agree(five_node):
         agg, grid_shape, structure.pair_s, structure.pair_r, wbar,
         pp.gamma, pp.mu, kind, offset, table, 40.0, 0.01,
     )
-    out_py = _kernels_py.torus_sweep(*args, 0)
+    out_py = _kernels_py.torus_sweep(*args)
     out_cy = _kernels_cy.torus_sweep(*args, 0)
     assert np.abs(out_py - out_cy).max() < 1e-12

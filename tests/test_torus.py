@@ -1,8 +1,13 @@
+import itertools
+import json
 import math
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from adaptive_kuramoto import _backend, _kernels_py
 from adaptive_kuramoto import (
     ClusterPartition,
     ConditionsNotSatisfied,
@@ -23,6 +28,8 @@ from adaptive_kuramoto import (
     solve_torus,
 )
 from adaptive_kuramoto._kernels_py import grid_points
+from adaptive_kuramoto.scenarios import parse_scenario, run_scenario
+from adaptive_kuramoto.torus import MAX_TORUS_VALUES, _orbit_index
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +129,6 @@ def test_solve_converges_geometrically(five_solution, five_node):
     assert u.sup_norm() <= bound
 
 
-@pytest.mark.slow
 def test_resolution_refinement_consistent(five_node, five_solution):
     net, part, pp = five_node
     u16, _ = five_solution
@@ -248,3 +254,156 @@ def test_anti_phase_constant_torus(five_node):
     dtheta, dk = rhs_full(net, pp, initial_state(net, theta, k))
     assert np.abs(dtheta - 0.7).max() <= 1e-14  # pure common rotation
     assert np.abs(dk).max() <= 1e-14
+
+
+# -- one start point per diagonal orbit ----------------------------------------
+
+
+def _orbit_rows(res, m):
+    """Row in grid_points((1,) + (res,)*(m-1)) of the orbit representative
+    (0, i_1 - i_0, ...) mod res of each row-major grid point, by enumeration."""
+    return np.array(
+        [
+            np.ravel_multi_index([(i - g[0]) % res for i in g[1:]], (res,) * (m - 1))
+            for g in itertools.product(range(res), repeat=m)
+        ]
+    )
+
+
+def _three_clusters():
+    """Six nodes, all-to-all, three clusters of two; (A1)-(A3) hold (ratio 0.29)."""
+    adj = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
+    net = OscillatorNetwork(adj, [0.5, 0.5, 0.55, 0.55, 0.6, 0.6])
+    part = ClusterPartition(((0, 1), (2, 3), (4, 5)))
+    pp = PlasticityParams(gamma=1.0, mu=0.001, rule=LearningRule.hebbian())
+    return net, part, pp
+
+
+def _full_grid_pass(net, part, pp, u):
+    """iterate_once's values (G, c_out) as the full-grid kernel gives them."""
+    structure = inter_cluster_structure(net, part)
+    kind, offset, table = pp.rule.kernel_encoding()
+    return _kernels_py.torus_sweep(
+        u.flat_values() @ structure.rep_aggregation.T.astype(np.float64),
+        (u.resolution,) * u.m, structure.pair_s, structure.pair_r,
+        net.frequencies[list(part.representatives)], pp.gamma, pp.mu,
+        kind, offset, table, 40.0 / pp.gamma, 0.01,
+    )[:, structure.edge_pair]
+
+
+@pytest.fixture
+def sweep_points(monkeypatch):
+    """Start-point count of every kernel call made through the backend."""
+    counts = []
+    kernel = _backend.torus_sweep
+
+    def counting(*args, points=None):
+        counts.append(math.prod(args[1]) if points is None else len(points))
+        return kernel(*args, points=points)
+
+    monkeypatch.setattr(_backend, "torus_sweep", counting)
+    return counts
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+def test_orbit_sweep_matches_full_grid(m):
+    res = 6
+    pairs = [(s, r) for s in range(m) for r in range(m) if s != r]
+    rng = np.random.default_rng(3)
+    rows = _orbit_rows(res, m)
+    agg = rng.uniform(-0.5, 0.5, size=(res ** (m - 1), len(pairs)))[rows]
+    assert np.array_equal(_orbit_index(agg, res, m), rows)
+    kind, offset, table = LearningRule.hebbian().kernel_encoding()
+    args = (
+        agg, (res,) * m, np.array([s for s, _ in pairs]), np.array([r for _, r in pairs]),
+        rng.uniform(0.4, 0.6, m), 0.8, 0.3, kind, offset, table, 0.5, 0.05,
+    )  # horizon and step of the per-point reference test in test_kernels.py
+    full = _kernels_py.torus_sweep(*args)
+    reduced = _kernels_py.torus_sweep(*args, points=grid_points((1,) + (res,) * (m - 1)))
+    assert reduced.shape == (res ** (m - 1), len(pairs))
+    assert np.abs(reduced[rows] - full).max() <= 1e-15
+
+
+def test_non_invariant_iterate_sweeps_the_full_grid(five_node):
+    net, part, pp = five_node
+    structure = inter_cluster_structure(net, part)
+    res = 8
+    phi = grid_points((res, res))
+    field = 0.01 * np.cos(phi[:, [0]] - 2.0 * phi[:, [1]])
+    u_prev = TorusFunction(
+        2, res, np.repeat(field, structure.c_out, axis=1).reshape(res, res, -1),
+        tuple(map(tuple, structure.edges)),
+    )
+    agg = u_prev.flat_values() @ structure.rep_aggregation.T.astype(np.float64)
+    assert _orbit_index(agg, res, 2) is None
+    got = iterate_once(net, part, pp, u_prev)
+    assert np.array_equal(got.flat_values(), _full_grid_pass(net, part, pp, u_prev))
+
+
+def test_solution_is_invariant_under_the_diagonal_shift(five_solution):
+    u, _ = five_solution
+    assert np.array_equal(u.values, np.roll(u.values, 1, axis=(0, 1)))
+
+
+def test_upsampled_warm_start_matches_the_full_grid(five_node, five_solution, sweep_points):
+    """The R = 16 fixed point interpolated to R = 32 is diagonal-invariant only
+    to rounding (a few eps), and still takes the reduced pass."""
+    net, part, pp = five_node
+    u16, _ = five_solution
+    res = 32
+    vals = u16.evaluate(grid_points((res, res))).reshape(res, res, u16.c_out)
+    warm = TorusFunction(2, res, vals, u16.edge_order)
+    got = iterate_once(net, part, pp, warm)
+    assert sweep_points == [res]
+    want = _full_grid_pass(net, part, pp, warm)
+    assert np.abs(got.flat_values() - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+def test_solve_hands_the_kernel_one_point_per_orbit(m, five_node, sweep_points):
+    net, part, pp = five_node if m == 2 else _three_clusters()
+    res = 6
+    _, log = solve_torus(net, part, pp, resolution=res, tol=1e-8, horizon=10.0, step=0.05)
+    assert log.iterations_used >= 3
+    assert sweep_points == [res ** (m - 1)] * log.iterations_used
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("max_iter", 0), ("tol", math.nan), ("tol", 0.0), ("step", math.nan),
+     ("step", -0.01), ("horizon", math.inf), ("horizon", 0.0)],
+)
+def test_bad_torus_arguments_fail_before_any_sweep(
+    five_node, monkeypatch, tmp_path, argument, value
+):
+    net, part, pp = five_node
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("no sweep may run for a bad argument")
+
+    monkeypatch.setattr(_backend, "torus_sweep", no_sweep)
+    with pytest.raises(ValueError, match=argument):
+        solve_torus(net, part, pp, resolution=16, **{argument: value})
+    if argument in ("step", "horizon"):
+        with pytest.raises(ValueError, match=argument):
+            iterate_once(net, part, pp, _zeros(net, part, 16), **{argument: value})
+    data = json.loads(
+        resources.files("adaptive_kuramoto").joinpath("scenario_data/five_node_torus.json").read_text()
+    )
+    data["parameters"][argument] = value
+    with pytest.raises(ValueError, match=argument):
+        run_scenario(parse_scenario(data), tmp_path)
+
+
+def test_oversized_torus_grid_fails_fast():
+    net, part, pp = _three_clusters()
+    c_out = inter_cluster_structure(net, part).c_out
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"4096\^3 x {c_out}") as exc:
+            solve_torus(net, part, pp, resolution=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(MAX_TORUS_VALUES) in str(exc.value)
+    assert peak < 1_000_000  # bytes: nothing grid-sized was allocated
