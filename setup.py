@@ -1,29 +1,19 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernel extension.
 
-The package works without the extension (a pure-numpy twin is selected at
-import time), so the extension is marked optional: a missing compiler or
-OpenMP runtime degrades the install instead of failing it.
+The package works without the extension (the numpy kernel is selected at
+import time), so the extension is marked optional: a missing compiler
+degrades the install instead of failing it.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy as np
-    from Cython.Build import cythonize
-except ImportError:  # source tree without build deps: install pure-Python only
-    ext_modules = []
-else:
-    extensions = [
+setup(
+    ext_modules=[
         Extension(
-            "adaptive_kuramoto._kernels_cy",
-            ["src/adaptive_kuramoto/_kernels_cy.pyx"],
-            include_dirs=[np.get_include()],
-            extra_compile_args=["-O3", "-fopenmp"],
-            extra_link_args=["-fopenmp"],
-            define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+            "adaptive_kuramoto._kernels_c",
+            ["src/adaptive_kuramoto/_kernels_c.c"],
+            extra_compile_args=["-O3"],
             optional=True,
         )
     ]
-    ext_modules = cythonize(extensions, compiler_directives={"language_level": "3"})
-
-setup(ext_modules=ext_modules)
+)

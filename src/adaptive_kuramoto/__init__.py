@@ -6,9 +6,9 @@ to persist, constructs the invariant toroidal manifold carrying the cluster
 dynamics, and searches for minimal edge edits that make a desired partition
 admissible.
 
-Heavy numeric paths run on a compiled extension when available; set
-ADAPTIVE_KURAMOTO_BACKEND=python to force the pure-numpy fallback (the
-active choice is exposed as ``BACKEND``).
+The network integrator runs on a small C extension when it is built and on
+NumPy otherwise; set ADAPTIVE_KURAMOTO_BACKEND=python to force NumPy (the
+active choice, "c" or "python", is exposed as ``BACKEND``).
 """
 
 from ._backend import BACKEND

@@ -1,19 +1,20 @@
-"""Pure-numpy numeric kernels: fallback twin of the compiled extension.
+"""NumPy numeric kernels: the edge-list network integrator and the torus sweep.
 
-Both backends expose the same two entry points with identical semantics:
-
-``integrate_network``
-    Fixed-step RK4 for the full adaptive network
-        dtheta_i = w_i + sum_j a_ij k_ij sin(theta_j - theta_i)
-        dk_ij    = -gamma k_ij + mu Gamma(theta_j - theta_i)   on edges only.
-    Couplings come in and go out as dense N x N matrices; non-edge entries
-    of ``k0`` are returned unchanged in every snapshot. Phases are wrapped to
-    [0, 2 pi) after every step. Snapshots are taken every ``record_stride``
-    steps (initial state included); integration aborts at the first recorded
-    non-finite state. This backend integrates (theta, k_e) on the E edges
-    (recv, src) = np.nonzero(adj): each stage (``edge_rhs``) evaluates sin and
-    Gamma once per edge and sums into the receivers with ``np.bincount``, so
-    it costs O(N + E), and the dense matrix is written once per snapshot.
+``integrate_edges``
+    The one kernel contract of the network integrator; the C extension
+    ``_kernels_c`` implements the same function. Fixed-step RK4 of
+        dtheta_i = w_i + sum_e [recv_e = i] k_e sin(theta_src_e - theta_i)
+        dk_e     = mu Gamma(theta_src_e - theta_recv_e) - gamma k_e
+    on the E edges e = (recv[e], src[e]). Edge values go in (theta0 (N,),
+    k_e0 (E,)); the kernel fills rows 1.. of the preallocated (records, N)
+    and (records, E) outputs, one row every ``stride`` steps, wrapping the
+    phases to [0, 2 pi) after every step, and returns the count of finite
+    records; the first non-finite record is written and ends the run. Each
+    stage (``edge_rhs``) evaluates sin and Gamma once per edge; the
+    per-receiver sum starts at 0 and runs in edge order (``np.bincount``),
+    then ``freqs +``. ``_backend.integrate_network`` is the dense adapter
+    around it: edge list, record 0, allocation and the (records, N, N)
+    scatter.
 
 ``torus_sweep``
     One pass of the successive approximation for the invariant torus. From
@@ -36,9 +37,6 @@ Both backends expose the same two entry points with identical semantics:
 
 Rules are encoded as (kind, offset, table): kind 0 is cos(s), kind 1 is
 cos(s - offset), kind 2 interpolates ``table`` linearly and periodically.
-
-The compiled ``torus_sweep`` takes no ``points`` (it sweeps the full grid and
-has a trailing thread count), so the package runs this one on both backends.
 """
 
 from __future__ import annotations
@@ -76,54 +74,31 @@ def edge_rhs(theta, k_e, recv, src, freqs, gamma, mu, kind, offset, table):
     return dtheta, dk
 
 
-def integrate_network(
-    theta0: np.ndarray,
-    k0: np.ndarray,
-    adj: np.ndarray,
-    freqs: np.ndarray,
-    gamma: float,
-    mu: float,
-    rule_kind: int,
-    rule_offset: float,
-    rule_table: np.ndarray,
-    step: float,
-    n_steps: int,
-    record_stride: int,
-):
-    """Returns (thetas, ks, n_valid): snapshot arrays of shape
-    (n_records, N) / (n_records, N, N) and the count of finite records."""
-    if n_steps % record_stride != 0:
-        raise ValueError("n_steps must be a multiple of record_stride")
-    n = theta0.shape[0]
-    n_records = n_steps // record_stride + 1
-    thetas = np.zeros((n_records, n))
-    ks = np.zeros((n_records, n, n))
-    recv, src = np.nonzero(adj)
-
-    theta = np.mod(np.asarray(theta0, dtype=np.float64), TWO_PI)
-    kmat = np.array(k0, dtype=np.float64, copy=True)  # non-edge entries pass through
-    k_e = kmat[recv, src]
-    thetas[0], ks[0] = theta, kmat
-    n_valid = 1
+def integrate_edges(
+    theta0, k_e0, recv, src, freqs, gamma, mu, kind, offset, table, step, stride, thetas_out, kes_out
+) -> int:
+    """The integrator's kernel contract (module docstring): fills rows 1..
+    of ``thetas_out`` / ``kes_out`` and returns the count of finite records."""
+    theta, k_e = theta0, k_e0
 
     def rhs(th, kk):
-        return edge_rhs(th, kk, recv, src, freqs, gamma, mu, rule_kind, rule_offset, rule_table)
+        return edge_rhs(th, kk, recv, src, freqs, gamma, mu, kind, offset, table)
 
     h, h2, h6 = step, 0.5 * step, step / 6.0
-    for rec in range(1, n_records):
-        for _ in range(record_stride):
+    n_valid = 1
+    for rec in range(1, thetas_out.shape[0]):
+        for _ in range(stride):
             t1, k1 = rhs(theta, k_e)
             t2, k2 = rhs(theta + h2 * t1, k_e + h2 * k1)
             t3, k3 = rhs(theta + h2 * t2, k_e + h2 * k2)
             t4, k4 = rhs(theta + h * t3, k_e + h * k3)
             theta = np.mod(theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4), TWO_PI)
             k_e = k_e + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        kmat[recv, src] = k_e
-        thetas[rec], ks[rec] = theta, kmat
-        if not (np.isfinite(theta).all() and np.isfinite(kmat).all()):
+        thetas_out[rec], kes_out[rec] = theta, k_e
+        if not (np.isfinite(theta).all() and np.isfinite(k_e).all()):
             break
         n_valid = rec + 1
-    return thetas, ks, n_valid
+    return n_valid
 
 
 # -- torus iteration ----------------------------------------------------------
