@@ -86,18 +86,20 @@ def integrate_edges(
 
     h, h2, h6 = step, 0.5 * step, step / 6.0
     n_valid = 1
-    for rec in range(1, thetas_out.shape[0]):
-        for _ in range(stride):
-            t1, k1 = rhs(theta, k_e)
-            t2, k2 = rhs(theta + h2 * t1, k_e + h2 * k1)
-            t3, k3 = rhs(theta + h2 * t2, k_e + h2 * k2)
-            t4, k4 = rhs(theta + h * t3, k_e + h * k3)
-            theta = np.mod(theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4), TWO_PI)
-            k_e = k_e + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        thetas_out[rec], kes_out[rec] = theta, k_e
-        if not (np.isfinite(theta).all() and np.isfinite(k_e).all()):
-            break
-        n_valid = rec + 1
+    # a blow-up is reported by the finiteness check below, silently, as in C
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rec in range(1, thetas_out.shape[0]):
+            for _ in range(stride):
+                t1, k1 = rhs(theta, k_e)
+                t2, k2 = rhs(theta + h2 * t1, k_e + h2 * k1)
+                t3, k3 = rhs(theta + h2 * t2, k_e + h2 * k2)
+                t4, k4 = rhs(theta + h * t3, k_e + h * k3)
+                theta = np.mod(theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4), TWO_PI)
+                k_e = k_e + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            thetas_out[rec], kes_out[rec] = theta, k_e
+            if not (np.isfinite(theta).all() and np.isfinite(k_e).all()):
+                break
+            n_valid = rec + 1
     return n_valid
 
 
@@ -148,12 +150,6 @@ def periodic_interpolator(values: np.ndarray, grid_shape):
         return out
 
     return evaluate
-
-
-def interp_periodic(values: np.ndarray, grid_shape, pts: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation: (P, C) values of ``values`` (G, C)
-    at ``pts`` (P, m). See ``periodic_interpolator``."""
-    return periodic_interpolator(values, grid_shape)(pts)
 
 
 def torus_sweep(

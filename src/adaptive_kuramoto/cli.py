@@ -28,6 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .scenarios import (
+    TASKS,
     Scenario,
     ScenarioError,
     ScenarioOutcome,
@@ -35,8 +36,6 @@ from .scenarios import (
     parse_scenario,
     run_scenario,
 )
-
-TASK_COMMANDS = ("check", "simulate", "torus", "design", "two-osc", "switch")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for task in TASK_COMMANDS:
+    for task in TASKS:
         p = sub.add_parser(task, help=f"run a scenario file with task '{task}'")
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory (default runs/<name>)")

@@ -19,23 +19,26 @@ the cluster decomposition persists on an attracting invariant torus when
 ratio_a3 is also the contraction factor of the successive-approximation
 construction of the torus, so it is shared with the torus solver.
 
-The perturbed-topology variant checks the same inequalities for an edited
-adjacency A + tilde_A, with counts taken on the edited network and the edge
-total c_out + tilde_c_out, where tilde_c_out is the signed sum of the
-inter-cluster entries of tilde_A.
+The perturbed-topology check is the same check on the edited adjacency
+A + tilde_A: counts are taken on the edited network, and its edge total is
+c_out + tilde_c_out, where tilde_c_out is the signed sum of the
+inter-cluster entries of tilde_A. The two routes agree by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels_py import rule_values
 from .network import (
     CardinalityReport,
     ClusterPartition,
     OscillatorNetwork,
+    apply_perturbation,
+    c_tilde_out,
     check_frequencies,
     compute_cardinalities,
     _readonly,
@@ -97,17 +100,7 @@ class LearningRule:
         return cls("tabulated", table=np.asarray(samples, dtype=np.float64))
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        if self.kind == "hebbian":
-            return np.cos(s)
-        if self.kind == "shifted-cosine":
-            return np.cos(s - self.offset)
-        table = self.table
-        n = table.size
-        t = np.mod(s, 2.0 * np.pi) * (n / (2.0 * np.pi))
-        i0 = np.floor(t).astype(np.int64) % n
-        frac = t - np.floor(t)
-        return table[i0] * (1.0 - frac) + table[(i0 + 1) % n] * frac
+        return rule_values(*self.kernel_encoding(), np.asarray(s, dtype=np.float64))
 
     def derivative(self, s):
         """dGamma/ds; central differences on a 2*pi/4096 stencil for tables."""
@@ -186,8 +179,8 @@ def _a3_quantities(
     sum_c_sr: int,
     c_out_effective: int,
 ) -> tuple[float, float]:
-    """Evaluate the two (A3) quantities. Shared by both check routes so the
-    perturbed-route equivalence is exact, not merely approximate."""
+    """Evaluate the two (A3) quantities. Shared with the closed-form candidate
+    scoring of the topology design, so the two agree bit for bit."""
     coupling_sup = pp.mu * pp.delta * c_max / pp.gamma
     lhs = w_min - coupling_sup
     if pp.mu == 0.0:
@@ -267,26 +260,23 @@ class ConditionReport:
         return out
 
     def with_notes(self, notes) -> "ConditionReport":
-        from dataclasses import replace
-
         return replace(self, notes=tuple(self.notes) + tuple(notes))
 
 
-def _assemble_report(
+def check_cluster_conditions(
     net: OscillatorNetwork,
     part: ClusterPartition,
     pp: PlasticityParams,
-    card: CardinalityReport,
-    a1: bool,
-    a1_violations: tuple,
-    c_out_effective: int,
-    c_tilde_out: int | None,
+    freq_tol: float = 0.0,
 ) -> ConditionReport:
+    """Check (A1)-(A3) for a network and partition."""
+    a1, a1_violations = check_frequencies(net, part, tol=freq_tol)
+    card = compute_cardinalities(net, part)
     w_abs = np.abs(net.frequencies)
     w_min = float(w_abs.min())
     w_max = float(w_abs.max())
     sum_c_sr = int(card.c_sr.sum())
-    lhs, ratio = _a3_quantities(w_min, w_max, pp, card.c_max, sum_c_sr, c_out_effective)
+    lhs, ratio = _a3_quantities(w_min, w_max, pp, card.c_max, sum_c_sr, card.c_out)
     a3 = bool(lhs > 0.0 and ratio < 1.0)
     return ConditionReport(
         a1_holds=a1,
@@ -303,23 +293,8 @@ def _assemble_report(
         mu=pp.mu,
         delta=pp.delta,
         sum_c_sr=sum_c_sr,
-        c_out_effective=c_out_effective,
+        c_out_effective=card.c_out,
         a1_violations=a1_violations,
-        c_tilde_out=c_tilde_out,
-    )
-
-
-def check_cluster_conditions(
-    net: OscillatorNetwork,
-    part: ClusterPartition,
-    pp: PlasticityParams,
-    freq_tol: float = 0.0,
-) -> ConditionReport:
-    """Check (A1)-(A3) for a network and partition."""
-    a1, a1_violations = check_frequencies(net, part, tol=freq_tol)
-    card = compute_cardinalities(net, part)
-    return _assemble_report(
-        net, part, pp, card, a1, a1_violations, card.c_out, c_tilde_out=None
     )
 
 
@@ -332,73 +307,13 @@ def check_perturbed_conditions(
 ) -> ConditionReport:
     """Check the conditions for the edited topology A + tilde_A.
 
-    Counts are taken on the edited adjacency and the edge total is
-    c_out + tilde_c_out with tilde_c_out the signed inter-cluster edit sum.
-    The result coincides field by field with ``check_cluster_conditions`` on
-    the edited network (a tested identity); this route exists so topology
-    design can reason in terms of the edit matrix directly.
+    This is ``check_cluster_conditions`` on ``apply_perturbation(net,
+    tilde_a)``, so counts come from the edited adjacency and the edge total
+    is c_out + tilde_c_out by construction. The report also carries
+    tilde_c_out, the signed inter-cluster edit sum.
     """
-    entries = np.asarray(getattr(tilde_a, "entries", tilde_a), dtype=np.int64)
-    _validate_perturbation(net, entries)
-
-    n, m = net.n_nodes, part.m
-    edited = net.adjacency + entries
-
-    member = np.zeros((n, m), dtype=np.int64)
-    for s, cluster in enumerate(part.clusters):
-        member[list(cluster), s] = 1
-    per_node = edited @ member
-    cluster_of = part.cluster_of()
-
-    inter_mask = cluster_of[:, None] != cluster_of[None, :]
-    c_tilde_out = int(entries[inter_mask].sum())
-    c_out_effective = int(net.adjacency[inter_mask].sum()) + c_tilde_out
-
-    c_sr = np.zeros((m, m), dtype=np.int64)
-    violations = []
-    for s, cluster in enumerate(part.clusters):
-        rows = per_node[list(cluster), :]
-        for r in range(m):
-            if r == s:
-                continue
-            counts = rows[:, r]
-            if (counts == counts[0]).all():
-                c_sr[s, r] = counts[0]
-            else:
-                c_sr[s, r] = counts.max()
-                evidence = tuple((node, int(c)) for node, c in zip(cluster, counts))
-                violations.append((s, r, evidence))
-    c_max = int(c_sr.sum(axis=1).max()) if m > 1 else 0
-    c_in = int(edited.sum()) - c_out_effective
-
-    card = CardinalityReport(
-        c_in=c_in,
-        c_out=c_out_effective,
-        c_sr=_readonly(c_sr, np.int64),
-        per_node_incoming=_readonly(per_node, np.int64),
-        c_max=c_max,
-        a2_holds=not violations,
-        violations=tuple(violations),
-    )
-    a1, a1_violations = check_frequencies(net, part, tol=freq_tol)
-    return _assemble_report(
-        net, part, pp, card, a1, a1_violations, c_out_effective, c_tilde_out
-    )
-
-
-def _validate_perturbation(net: OscillatorNetwork, entries: np.ndarray) -> None:
-    if entries.shape != net.adjacency.shape:
-        raise ValueError(
-            f"perturbation shape {entries.shape} != adjacency shape {net.adjacency.shape}"
-        )
-    if np.diagonal(entries).any():
-        raise ValueError("perturbation diagonal must be zero")
-    if not np.isin(entries, (-1, 0, 1)).all():
-        raise ValueError("perturbation entries must be -1, 0 or +1")
-    if ((entries == 1) & (net.adjacency == 1)).any():
-        raise ValueError("perturbation adds an edge that already exists")
-    if ((entries == -1) & (net.adjacency == 0)).any():
-        raise ValueError("perturbation removes an edge that does not exist")
+    report = check_cluster_conditions(apply_perturbation(net, tilde_a), part, pp, freq_tol)
+    return replace(report, c_tilde_out=c_tilde_out(net, part, tilde_a))
 
 
 def contraction_ratio(
@@ -409,13 +324,9 @@ def contraction_ratio(
     Requires uniform inter-cluster counts and lhs_a3 > 0; raises otherwise.
     Returns 0 for mu = 0.
     """
-    card = compute_cardinalities(net, part)
-    if not card.a2_holds:
+    report = check_cluster_conditions(net, part, pp)
+    if not report.a2_holds:
         raise ValueError("inter-cluster counts are not uniform; contraction factor undefined")
-    w_abs = np.abs(net.frequencies)
-    lhs, ratio = _a3_quantities(
-        float(w_abs.min()), float(w_abs.max()), pp, card.c_max, int(card.c_sr.sum()), card.c_out
-    )
-    if pp.mu > 0.0 and lhs <= 0.0:
-        raise ValueError(f"decay-rate margin is not positive (lhs = {lhs})")
-    return ratio
+    if pp.mu > 0.0 and report.lhs_a3 <= 0.0:
+        raise ValueError(f"decay-rate margin is not positive (lhs = {report.lhs_a3})")
+    return report.ratio_a3

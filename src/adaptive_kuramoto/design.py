@@ -44,8 +44,9 @@ from .network import (
     ClusterPartition,
     IntArray,
     OscillatorNetwork,
+    _check_same_size,
     _readonly,
-    apply_perturbation,
+    c_tilde_out,
     check_frequencies,
     compute_cardinalities,
 )
@@ -135,18 +136,6 @@ class DesignResult:
         }
 
 
-def c_tilde_out(net: OscillatorNetwork, part: ClusterPartition, tilde_a) -> int:
-    """Signed sum of the inter-cluster entries of an edit mask."""
-    entries = np.asarray(getattr(tilde_a, "entries", tilde_a), dtype=np.int64)
-    if entries.shape != net.adjacency.shape:
-        raise ValueError(
-            f"perturbation shape {entries.shape} != adjacency shape {net.adjacency.shape}"
-        )
-    cluster_of = part.cluster_of()
-    inter = cluster_of[:, None] != cluster_of[None, :]
-    return int(entries[inter].sum())
-
-
 def min_edits_for_targets(
     net: OscillatorNetwork, part: ClusterPartition, targets
 ) -> PerturbationMatrix:
@@ -157,10 +146,7 @@ def min_edits_for_targets(
     from the lowest-index non-neighbors. Intra-cluster entries of ``targets``
     are ignored. Raises when a target exceeds the source cluster size.
     """
-    if part.n_nodes != net.n_nodes:
-        raise ValueError(
-            f"partition covers {part.n_nodes} nodes but network has {net.n_nodes}"
-        )
+    _check_same_size(net, part)
     m = part.m
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (m, m):
@@ -335,12 +321,10 @@ def brute_force_min_edits(
     for tilde in _all_legal_masks(net, positions, budget):
         report = check_perturbed_conditions(net, tilde, part, pp, freq_tol)
         if report.overall:
-            edited = apply_perturbation(net, tilde)
-            targets = compute_cardinalities(edited, part).c_sr
             return DesignResult(
                 feasible=True,
                 edits=tilde.edit_count,
-                targets=targets,
+                targets=report.cardinalities.c_sr,
                 perturbation=tilde,
                 report=report,
             )

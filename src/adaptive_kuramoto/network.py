@@ -36,6 +36,7 @@ __all__ = [
     "compute_cardinalities",
     "check_frequencies",
     "apply_perturbation",
+    "c_tilde_out",
     "inter_cluster_structure",
     "network_from_dict",
     "network_to_dict",
@@ -263,18 +264,24 @@ def check_frequencies(
     return (not violations, tuple(violations))
 
 
+def _edit_entries(net: OscillatorNetwork, tilde_a) -> IntArray:
+    """The entries of an edit mask (an array or a PerturbationMatrix), with
+    the shape of the network's adjacency."""
+    tilde = np.asarray(getattr(tilde_a, "entries", tilde_a), dtype=np.int64)
+    if tilde.shape != net.adjacency.shape:
+        raise ValueError(
+            f"perturbation shape {tilde.shape} != adjacency shape {net.adjacency.shape}"
+        )
+    return tilde
+
+
 def apply_perturbation(net: OscillatorNetwork, tilde_a) -> OscillatorNetwork:
     """Apply a signed edge edit matrix: +1 adds an absent edge, -1 removes one.
 
     Legal entries: 0 anywhere; +1 only where a_ij = 0 (i != j); -1 only where
     a_ij = 1. Frequencies are unchanged.
     """
-    entries = getattr(tilde_a, "entries", tilde_a)
-    tilde = np.asarray(entries, dtype=np.int64)
-    if tilde.shape != net.adjacency.shape:
-        raise ValueError(
-            f"perturbation shape {tilde.shape} != adjacency shape {net.adjacency.shape}"
-        )
+    tilde = _edit_entries(net, tilde_a)
     if np.diagonal(tilde).any():
         raise ValueError("perturbation diagonal must be zero")
     if not np.isin(tilde, (-1, 0, 1)).all():
@@ -288,6 +295,13 @@ def apply_perturbation(net: OscillatorNetwork, tilde_a) -> OscillatorNetwork:
         i, j = np.argwhere(removes_absent)[0]
         raise ValueError(f"cannot remove edge ({i}, {j}): not present")
     return OscillatorNetwork(net.adjacency + tilde, net.frequencies)
+
+
+def c_tilde_out(net: OscillatorNetwork, part: ClusterPartition, tilde_a) -> int:
+    """Signed sum of the inter-cluster entries of an edit mask."""
+    cluster_of = part.cluster_of()
+    inter = cluster_of[:, None] != cluster_of[None, :]
+    return int(_edit_entries(net, tilde_a)[inter].sum())
 
 
 @dataclass(frozen=True)

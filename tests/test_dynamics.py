@@ -25,6 +25,7 @@ from adaptive_kuramoto import (
     wrap_to_2pi,
     wrap_to_pi,
 )
+from adaptive_kuramoto import _backend, _kernels_py
 
 
 @given(st.floats(-50.0, 50.0))
@@ -158,15 +159,19 @@ def test_simulate_rejects_bad_arguments(five_node):
         simulate(net, pp, st0, t_end=1.0, record_stride=0)
 
 
-def test_integration_blowup():
-    # RK4 on dk/dt = -gamma k is unstable for step*gamma > 2.78
+@pytest.mark.filterwarnings("error")
+def test_integration_blowup(kernels_c, monkeypatch):
+    # RK4 on dk/dt = -gamma k is unstable for step*gamma > 2.78; both kernels
+    # report it as IntegrationBlowup alone, with no numpy warning on the way
     net = build_network([[0, 1], [1, 0]], [1.0, 1.0])
     pp = PlasticityParams(gamma=500.0, mu=0.0, rule=LearningRule.hebbian())
     k = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(IntegrationBlowup) as exc:
-        simulate(net, pp, initial_state(net, np.zeros(2), k), t_end=50.0, step=0.01)
-    assert exc.value.trajectory.n_records >= 1
-    assert np.isfinite(exc.value.trajectory.couplings).all()
+    for impl in (_kernels_py, kernels_c):
+        monkeypatch.setattr(_backend, "_impl", impl)
+        with pytest.raises(IntegrationBlowup) as exc:
+            simulate(net, pp, initial_state(net, np.zeros(2), k), t_end=50.0, step=0.01)
+        assert exc.value.trajectory.n_records >= 1
+        assert np.isfinite(exc.value.trajectory.couplings).all()
 
 
 def test_error_metrics_window(five_node):

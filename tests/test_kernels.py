@@ -53,15 +53,16 @@ def test_interp_periodic_nodes_and_midpoints():
     shape = (4,)
     values = np.array([[0.0], [1.0], [2.0], [3.0]])
     nodes = _kernels_py.grid_points(shape)
-    got = _kernels_py.interp_periodic(values, shape, nodes)
+    interp = _kernels_py.periodic_interpolator(values, shape)
+    got = interp(nodes)
     assert np.allclose(got, values)
     mid = np.array([[np.pi / 4]])  # halfway between nodes 0 and 1
-    assert np.allclose(_kernels_py.interp_periodic(values, shape, mid), 0.5)
+    assert np.allclose(interp(mid), 0.5)
     # wrap-around cell interpolates between the last node and node 0
     wrap = np.array([[2 * np.pi - np.pi / 4]])
-    assert np.allclose(_kernels_py.interp_periodic(values, shape, wrap), 1.5)
+    assert np.allclose(interp(wrap), 1.5)
     # periodicity: shifting by 2*pi changes nothing
-    shifted = _kernels_py.interp_periodic(values, shape, mid + 2 * np.pi)
+    shifted = interp(mid + 2 * np.pi)
     assert np.allclose(shifted, 0.5)
 
 
@@ -71,10 +72,11 @@ def test_interp_periodic_2d_multicolumn():
     values = np.stack([np.cos(pts[:, 0] - pts[:, 1]), np.sin(pts[:, 0])], axis=1)
     rng = np.random.default_rng(5)
     q = rng.uniform(0, 2 * np.pi, size=(40, 2))
-    got = _kernels_py.interp_periodic(values, shape, q)
+    interp = _kernels_py.periodic_interpolator(values, shape)
+    got = interp(q)
     want = np.stack([np.cos(q[:, 0] - q[:, 1]), np.sin(q[:, 0])], axis=1)
     assert np.abs(got - want).max() < 0.35  # bilinear on a coarse grid
-    exact = _kernels_py.interp_periodic(values, shape, pts)
+    exact = interp(pts)
     assert np.allclose(exact, values)
 
 
@@ -119,7 +121,6 @@ def test_periodic_interpolator_matches_per_corner_bit_for_bit(shape):
     ):
         want = _interp_per_corner(values, shape, pts)
         assert np.array_equal(interp(pts), want)
-        assert np.array_equal(_kernels_py.interp_periodic(values, shape, pts), want)
 
 
 def test_rule_values_match_rule_objects():

@@ -9,6 +9,7 @@ from adaptive_kuramoto import (
     apply_perturbation,
     build_network,
     check_frequencies,
+    check_perturbed_conditions,
     compute_cardinalities,
     inter_cluster_structure,
     load_network_file,
@@ -122,31 +123,41 @@ def test_check_frequencies(five_node):
 
 def test_apply_perturbation_legality(five_node):
     net, _, _ = five_node
-    tilde = np.zeros((5, 5), dtype=int)
-    tilde[0, 1] = -1
-    out = apply_perturbation(net, tilde)
+    out = apply_perturbation(net, _edit(value=-1))
     assert out.adjacency[0, 1] == 0
     assert out.adjacency.sum() == net.adjacency.sum() - 1
     assert np.array_equal(out.frequencies, net.frequencies)
 
-    with pytest.raises(ValueError):
-        apply_perturbation(net, np.ones((5, 5), dtype=int))  # diagonal
-    bad = np.zeros((5, 5), dtype=int)
-    bad[0, 1] = 1  # edge already present
-    with pytest.raises(ValueError):
-        apply_perturbation(net, bad)
-    bad2 = np.zeros((4, 4), dtype=int)
-    with pytest.raises(ValueError):
-        apply_perturbation(net, bad2)
-    bad3 = np.zeros((5, 5), dtype=int)
-    bad3[0, 1] = 2
-    with pytest.raises(ValueError):
-        apply_perturbation(net, bad3)
-    removed = apply_perturbation(net, tilde)
-    bad4 = np.zeros((5, 5), dtype=int)
-    bad4[0, 1] = -1  # edge no longer there
-    with pytest.raises(ValueError):
-        apply_perturbation(removed, bad4)
+
+def _edit(n=5, value=0):
+    tilde = np.zeros((n, n), dtype=int)
+    tilde[0, 1] = value
+    return tilde
+
+
+# case: (remove edge (0, 1) of the five-node network first, edit, message)
+ILLEGAL_EDITS = {
+    "diagonal": (False, np.ones((5, 5), dtype=int), "diagonal"),
+    "edge-present": (False, _edit(value=1), "already present"),
+    "wrong-shape": (False, _edit(n=4), "shape"),
+    "entry-2": (False, _edit(value=2), r"-1, 0 or \+1"),
+    "remove-absent": (True, _edit(value=-1), "not present"),
+}
+EDIT_ROUTES = {
+    "apply": lambda net, tilde, part, pp: apply_perturbation(net, tilde),
+    "perturbed-check": check_perturbed_conditions,
+}
+
+
+@pytest.mark.parametrize("route", EDIT_ROUTES)
+@pytest.mark.parametrize("case", ILLEGAL_EDITS)
+def test_illegal_edit_rejected(five_node, case, route):
+    net, part, pp = five_node
+    remove_first, tilde, message = ILLEGAL_EDITS[case]
+    if remove_first:
+        net = apply_perturbation(net, _edit(value=-1))
+    with pytest.raises(ValueError, match=message):
+        EDIT_ROUTES[route](net, tilde, part, pp)
 
 
 def test_inter_cluster_structure(five_node):

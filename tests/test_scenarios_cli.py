@@ -107,13 +107,16 @@ def test_expectation_validation():
 
 def test_uniform_coupling_seed_and_override(tmp_path):
     data = bundled("five_node_sim")
-    sc = parse_scenario(data)
-    out_a = run_scenario(sc, tmp_path / "a")
-    out_b = run_scenario(sc, tmp_path / "b")
-    assert out_a.ok and out_b.ok
-    assert (tmp_path / "a/metrics.json").read_bytes() == (tmp_path / "b/metrics.json").read_bytes()
-    out_c = run_scenario(sc, tmp_path / "c", seed=4242)
-    assert (tmp_path / "a/metrics.json").read_bytes() != (tmp_path / "c/metrics.json").read_bytes()
+    assert run_scenario(parse_scenario(data), tmp_path / "full").ok  # its own expectations
+    # seed reproducibility and the override need no long run
+    params = {**data["parameters"], "t_end": 20.0}
+    short = parse_scenario({**data, "parameters": params, "expectations": []})
+    outcomes = [run_scenario(short, tmp_path / "a"), run_scenario(short, tmp_path / "b"),
+                run_scenario(short, tmp_path / "c", seed=4242)]
+    assert all(out.ok for out in outcomes)
+    a, b, c = ((tmp_path / name / "metrics.json").read_bytes() for name in "abc")
+    assert a == b
+    assert a != c
 
 
 def test_run_check_scenario(tmp_path):
