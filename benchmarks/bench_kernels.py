@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Wall-clock comparison of the C and numpy network integrators.
 
-Both kernels run behind the same dense adapter, ``_backend.integrate_network``,
-on the same inputs: first the five-node two-cluster instance to t = 50, then
+Both kernels run behind the same adapter, ``_backend.integrate_network``
+(dense adjacency and couplings in, (records, E) edge columns out), on the
+same inputs: first the five-node two-cluster instance to t = 50, then
 the cost per RK4 step on random networks of N = 5, 20, 80 and 320 nodes where
 every node has 4 inputs (E = 4 N edges). Handy after touching
 ``_kernels_c.c`` (build it with ``python setup.py build_ext --inplace``): the

@@ -1,4 +1,4 @@
-"""Numeric backend selection and the dense adapter around the edge kernels.
+"""Numeric backend selection and the adapter around the edge kernels.
 
 The network integrator has one kernel contract, ``integrate_edges`` (see
 ``_kernels_py``): edge values in, preallocated (records, N) and (records, E)
@@ -6,8 +6,8 @@ arrays filled. The C extension ``_kernels_c`` is preferred when importable;
 the numpy ``_kernels_py`` is the fallback. Setting
 ADAPTIVE_KURAMOTO_BACKEND=python forces the fallback (used by the benchmark
 and for debugging). The two give the same results to rounding.
-``integrate_network`` is the one place that turns dense inputs into that
-contract and its output back into dense arrays.
+``integrate_network`` is the one place that turns a dense adjacency and
+coupling matrix into that contract; it returns the edge columns as they are.
 
 The torus sweep is the numpy kernel on both backends.
 """
@@ -40,16 +40,15 @@ def integrate_network(
         dk_ij    = -gamma k_ij + mu Gamma(theta_j - theta_i)   on edges only,
     with phases wrapped to [0, 2 pi) after every step and a record every
     ``record_stride`` steps (the initial state included). Returns (thetas,
-    ks, n_valid): (n_records, N) / (n_records, N, N) arrays and the count of
-    finite records; the run ends at the first non-finite one. Non-edge
-    entries of ``k0`` are copied through every record, so the couplings of
-    edges a topology switch removed stay frozen."""
+    kes, n_valid): (n_records, N) phases, (n_records, E) couplings with one
+    column per edge of ``adj`` in row-major order, and the count of finite
+    records; the run ends at the first non-finite one. Non-edge entries of
+    ``k0`` are never read."""
     if n_steps % record_stride != 0:
         raise ValueError("n_steps must be a multiple of record_stride")
     recv, src = (np.ascontiguousarray(a, dtype=np.int64) for a in np.nonzero(adj))
     theta = np.mod(np.asarray(theta0, dtype=np.float64), _kernels_py.TWO_PI)
-    kmat = np.array(k0, dtype=np.float64)
-    k_e = kmat[recv, src]
+    k_e = np.asarray(k0, dtype=np.float64)[recv, src]
     n_records = n_steps // record_stride + 1
     thetas = np.zeros((n_records, theta.shape[0]))
     kes = np.zeros((n_records, k_e.shape[0]))
@@ -60,7 +59,4 @@ def integrate_network(
         np.ascontiguousarray(rule_table, dtype=np.float64),
         float(step), int(record_stride), thetas, kes,
     )
-    ks = np.empty((n_records,) + kmat.shape)
-    ks[:] = kmat
-    ks[:, recv, src] = kes
-    return thetas, ks, n_valid
+    return thetas, kes, n_valid

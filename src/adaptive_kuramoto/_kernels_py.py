@@ -12,9 +12,9 @@
     records; the first non-finite record is written and ends the run. Each
     stage (``edge_rhs``) evaluates sin and Gamma once per edge; the
     per-receiver sum starts at 0 and runs in edge order (``np.bincount``),
-    then ``freqs +``. ``_backend.integrate_network`` is the dense adapter
-    around it: edge list, record 0, allocation and the (records, N, N)
-    scatter.
+    then ``freqs +``. ``_backend.integrate_network`` is the adapter around
+    it: edge list, record 0 and allocation; the (records, E) output is the
+    coupling history the caller keeps.
 
 ``torus_sweep``
     One pass of the successive approximation for the invariant torus. From

@@ -16,6 +16,7 @@ toward +pi), listed in ascending node order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,19 +133,20 @@ class IntegrationBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: times with uniform stride, phases, coupling snapshots.
+    """Recorded run: times with uniform stride, phases, coupling history.
 
+    ``edge_couplings`` is (records, E): column c holds the coupling of edge
+    ``k_edges[c]``, a (receiver, source) pair, in row-major order. For a
+    topology switch ``k_edges`` is the union of both edge sets: a removed
+    edge's column stays frozen at its switch-time value and an added edge's
+    column is 0 until the switch.
     ``errors`` (when a partition was given) holds the wrapped intra-cluster
     error coordinates for ``error_nodes`` (non-representatives, ascending).
-    ``k_edges`` lists the (receiver, source) pairs whose couplings are
-    meaningful for this run; for a topology switch it is the union of both
-    edge sets (entries for removed edges stay frozen at their switch-time
-    values).
     """
 
     times: np.ndarray
     phases: np.ndarray
-    couplings: np.ndarray
+    edge_couplings: np.ndarray
     network: OscillatorNetwork
     partition: ClusterPartition | None
     errors: np.ndarray | None
@@ -155,8 +157,22 @@ class Trajectory:
     def n_records(self) -> int:
         return self.times.shape[0]
 
+    @functools.cached_property
+    def couplings(self) -> np.ndarray:
+        """Read-only dense (records, N, N) view of ``edge_couplings``, zero
+        off ``k_edges``; built on first access, at records * N^2 * 8 bytes."""
+        return self._dense(self.edge_couplings)
+
     def final_state(self) -> NetworkState:
-        return NetworkState(self.phases[-1], self.couplings[-1])
+        return NetworkState(self.phases[-1], self._dense(self.edge_couplings[-1]))
+
+    def _dense(self, edge_values: np.ndarray) -> np.ndarray:
+        n = self.network.n_nodes
+        recv, src = np.array(self.k_edges, dtype=np.int64).reshape(-1, 2).T
+        out = np.zeros(edge_values.shape[:-1] + (n, n))
+        out[..., recv, src] = edge_values
+        out.setflags(write=False)
+        return out
 
 
 def cluster_errors(part: ClusterPartition, phases: np.ndarray) -> np.ndarray:
@@ -205,7 +221,7 @@ def _run(
     )
 
 
-def _build_trajectory(times, thetas, ks, net, part, k_edges) -> Trajectory:
+def _build_trajectory(times, thetas, kes, net, part, k_edges) -> Trajectory:
     if part is not None:
         errors = cluster_errors(part, thetas)
         error_nodes = part.non_representatives()
@@ -214,7 +230,7 @@ def _build_trajectory(times, thetas, ks, net, part, k_edges) -> Trajectory:
     return Trajectory(
         times=times,
         phases=thetas,
-        couplings=ks,
+        edge_couplings=kes,
         network=net,
         partition=part,
         errors=errors,
@@ -223,12 +239,12 @@ def _build_trajectory(times, thetas, ks, net, part, k_edges) -> Trajectory:
     )
 
 
-def _check_blowup(times, thetas, ks, n_valid, net, part, k_edges) -> None:
+def _check_blowup(times, thetas, kes, n_valid, net, part, k_edges) -> None:
     """Raise IntegrationBlowup carrying the first ``n_valid`` records when
     that is fewer than all of them."""
     if n_valid < times.shape[0]:
         prefix = _build_trajectory(
-            times[:n_valid], thetas[:n_valid], ks[:n_valid], net, part, k_edges
+            times[:n_valid], thetas[:n_valid], kes[:n_valid], net, part, k_edges
         )
         raise IntegrationBlowup(float(times[n_valid - 1]), prefix)
 
@@ -256,13 +272,13 @@ def simulate(
     _check_off_edge_couplings(net, initial.couplings)
 
     n_steps = _resolve_steps(t_end, step, record_stride)
-    thetas, ks, n_valid = _run(
+    thetas, kes, n_valid = _run(
         net, pp, initial.phases, initial.couplings, n_steps, step, record_stride
     )
     times = _record_times(n_steps, step, record_stride)
     k_edges = tuple((int(i), int(j)) for i, j in net.edges())
-    _check_blowup(times, thetas, ks, n_valid, net, partition, k_edges)
-    return _build_trajectory(times, thetas, ks, net, partition, k_edges)
+    _check_blowup(times, thetas, kes, n_valid, net, partition, k_edges)
+    return _build_trajectory(times, thetas, kes, net, partition, k_edges)
 
 
 def switch_topology_scenario(
@@ -278,7 +294,8 @@ def switch_topology_scenario(
 ) -> Trajectory:
     """Integrate with ``net_before`` up to t_switch, then with ``net_after``.
 
-    Both networks must share the node count and frequencies. At the switch,
+    Both networks must share the node count and frequencies, and the initial
+    couplings must vanish off the edges of ``net_before``. At the switch,
     couplings on removed edges freeze at their current values (no longer read
     or integrated) and couplings on added edges start from 0. t_switch is
     rounded to the record grid. A switch at or after t_end degenerates to a
@@ -291,30 +308,39 @@ def switch_topology_scenario(
 
     if t_switch >= t_end:
         return simulate(net_before, pp, initial, t_end, step, record_stride, partition)
+    _check_off_edge_couplings(net_before, initial.couplings)
 
     n1 = _resolve_steps(t_switch, step, record_stride)
     n2 = _resolve_steps(t_end, step, record_stride) - n1
 
-    thetas1, ks1, v1 = _run(
+    # one column per edge of either network, row-major; each network's own
+    # edges are a row-major subset of them
+    union = (net_before.adjacency + net_after.adjacency) > 0
+    union_edges = tuple((int(i), int(j)) for i, j in np.argwhere(union))
+    in_before, in_after = net_before.adjacency[union] != 0, net_after.adjacency[union] != 0
+
+    thetas1, kes1, v1 = _run(
         net_before, pp, initial.phases, initial.couplings, n1, step, record_stride
     )
     times1 = _record_times(n1, step, record_stride)
-    union_edges = tuple(
-        (int(i), int(j))
-        for i, j in np.argwhere((net_before.adjacency + net_after.adjacency) > 0)
-    )
-    _check_blowup(times1, thetas1, ks1, v1, net_before, partition, union_edges)
+    n_pre = times1.shape[0]
+    kes = np.zeros((n_pre + n2 // record_stride, len(union_edges)))
+    kes[:n_pre, in_before] = kes1
+    _check_blowup(times1, thetas1, kes[:n_pre], v1, net_before, partition, union_edges)
 
-    thetas2, ks2, v2 = _run(
-        net_after, pp, thetas1[-1], ks1[-1], n2, step, record_stride
+    k_switch = np.zeros(union.shape)
+    k_switch[union] = kes[n_pre - 1]
+    thetas2, kes2, v2 = _run(
+        net_after, pp, thetas1[-1], k_switch, n2, step, record_stride
     )
+    kes[n_pre:] = kes[n_pre - 1]  # removed edges keep their switch-time values
+    kes[n_pre:, in_after] = kes2[1:]
     times2 = times1[-1] + _record_times(n2, step, record_stride)
     times = np.concatenate([times1, times2[1:]])
     thetas = np.concatenate([thetas1, thetas2[1:]], axis=0)
-    ks = np.concatenate([ks1, ks2[1:]], axis=0)
-    keep = times1.shape[0] + v2 - 1  # the switch record is shared
-    _check_blowup(times, thetas, ks, keep, net_after, partition, union_edges)
-    return _build_trajectory(times, thetas, ks, net_after, partition, union_edges)
+    keep = n_pre + v2 - 1  # the switch record is shared
+    _check_blowup(times, thetas, kes, keep, net_after, partition, union_edges)
+    return _build_trajectory(times, thetas, kes, net_after, partition, union_edges)
 
 
 def rhs_full(net: OscillatorNetwork, pp: PlasticityParams, state: NetworkState):
@@ -448,9 +474,12 @@ def error_metrics(traj: Trajectory, tol: float | None = None) -> ErrorMetrics:
             time_to = float(traj.times[above[-1] + 1])
 
     structure = inter_cluster_structure(traj.network, traj.partition)
-    limits: dict[tuple[int, int], float] = {}
-    for i, j in structure.intra_edges:
-        limits[(int(i), int(j))] = float(traj.couplings[window, i, j].mean())
+    intra = [(int(i), int(j)) for i, j in structure.intra_edges]
+    column = {edge: c for c, edge in enumerate(traj.k_edges)}
+    # one contiguous row per edge: each mean sums in the order of a mean over
+    # that edge's column alone
+    window_k = np.ascontiguousarray(traj.edge_couplings[window][:, [column[e] for e in intra]].T)
+    limits = dict(zip(intra, window_k.mean(axis=1).tolist()))
 
     return ErrorMetrics(
         sup_final_error=sup_final,
@@ -475,7 +504,6 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     headers += [f"k_{i + 1}_{j + 1}" for i, j in traj.k_edges]
 
     errors = traj.errors if traj.errors is not None else np.zeros((traj.n_records, 0))
-    recv, src = np.array(traj.k_edges, dtype=np.int64).reshape(-1, 2).T
 
     # one record at a time: the whole table as strings would cost more memory
     # than the trajectory itself
@@ -483,6 +511,6 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(headers) + "\n")
         for rec in range(traj.n_records):
             row = np.concatenate((
-                traj.times[rec:rec + 1], traj.phases[rec], errors[rec], traj.couplings[rec, recv, src]
+                traj.times[rec:rec + 1], traj.phases[rec], errors[rec], traj.edge_couplings[rec]
             ))
             fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -177,8 +177,8 @@ def test_criterion_03_five_node_convergence(five_node, five_sim):
     window = traj.times >= 0.95 * traj.times[-1]
     structure = inter_cluster_structure(net, part)
     worst_intra = max(
-        float(np.abs(traj.couplings[window, i, j] - 0.01).max())
-        for i, j in structure.intra_edges
+        float(np.abs(traj.edge_couplings[window, traj.k_edges.index((i, j))] - 0.01).max())
+        for i, j in structure.intra_edges.tolist()
     )
     ok = (
         metrics.sup_final_error < 1e-3
@@ -309,7 +309,7 @@ def test_criterion_07_invariance_at_resolution_128(five_node, torus128):
     phi_t = traj.phases[:, [0, 3]]
     on_manifold = u.evaluate(phi_t)
     k_inter = np.stack(
-        [traj.couplings[:, i, j] for (i, j) in u.edge_order], axis=1
+        [traj.edge_couplings[:, traj.k_edges.index(e)] for e in u.edge_order], axis=1
     )
     deviation = float(np.abs(k_inter - on_manifold).max())
 

@@ -119,7 +119,7 @@ def test_phase_shift_equivariance(five_node):
     a = simulate(net, pp, initial_state(net, theta, k0), 2.0, partition=part)
     b = simulate(net, pp, initial_state(net, theta + 1.234, k0), 2.0, partition=part)
     assert np.allclose(wrap_to_pi(b.phases - a.phases - 1.234), 0.0, atol=1e-10)
-    assert np.allclose(a.couplings, b.couplings, atol=1e-10)
+    assert np.allclose(a.edge_couplings, b.edge_couplings, atol=1e-10)
 
 
 def test_coupling_bound(five_node):
@@ -128,7 +128,7 @@ def test_coupling_bound(five_node):
     k0 = random_couplings(net, -0.5, 0.5, 11)
     traj = simulate(net, pp, initial_state(net, np.linspace(0, 2, 5), k0), 50.0)
     bound = max(np.abs(k0).max(), pp.mu * pp.delta / pp.gamma) + 1e-12
-    assert np.abs(traj.couplings).max() <= bound
+    assert np.abs(traj.edge_couplings).max() <= bound
 
 
 def test_rk4_order():
@@ -171,7 +171,7 @@ def test_integration_blowup(kernels_c, monkeypatch):
         with pytest.raises(IntegrationBlowup) as exc:
             simulate(net, pp, initial_state(net, np.zeros(2), k), t_end=50.0, step=0.01)
         assert exc.value.trajectory.n_records >= 1
-        assert np.isfinite(exc.value.trajectory.couplings).all()
+        assert np.isfinite(exc.value.trajectory.edge_couplings).all()
 
 
 def test_error_metrics_window(five_node):
@@ -188,6 +188,9 @@ def test_error_metrics_window(five_node):
     assert set(m.intra_coupling_limits) == {
         (i, j) for i, j in map(tuple, net.edges()) if part.cluster_of()[i] == part.cluster_of()[j]
     }
+    window = traj.times >= 0.95 * traj.times[-1]
+    for (i, j), limit in m.intra_coupling_limits.items():
+        assert limit == traj.couplings[window, i, j].mean()
 
 
 def test_error_metrics_requires_partition(five_node):
@@ -206,7 +209,8 @@ def test_switch_trivial_when_after_end(five_node):
     a = switch_topology_scenario(net, net_after, pp, st0, t_switch=5.0, t_end=5.0, partition=part)
     b = simulate(net, pp, st0, t_end=5.0, partition=part)
     assert np.array_equal(a.phases, b.phases)
-    assert np.array_equal(a.couplings, b.couplings)
+    assert a.k_edges == b.k_edges
+    assert np.array_equal(a.edge_couplings, b.edge_couplings)
 
 
 def test_switch_stitches_exactly(five_node):
@@ -225,10 +229,11 @@ def test_switch_stitches_exactly(five_node):
     assert traj.times[-1] == pytest.approx(4.0)
     # the removed edge stays in the record but its coupling freezes
     assert (0, 3) in set(map(tuple, traj.k_edges))
+    col = traj.k_edges.index((0, 3))
     after = traj.times >= 2.0
-    frozen = traj.couplings[after, 0, 3]
+    frozen = traj.edge_couplings[after, col]
     assert np.all(frozen == frozen[0])
-    pre_slice = traj.couplings[~after, 0, 3]
+    pre_slice = traj.edge_couplings[~after, col]
     assert not np.all(pre_slice == pre_slice[0])  # it was live before
 
 
@@ -242,7 +247,108 @@ def test_switch_added_edge_starts_at_zero(five_node):
         before, net, pp, initial_state(before, np.zeros(5), k0), 1.0, 1.0 + 1e-9, partition=part
     )
     rec = np.searchsorted(traj.times, 1.0)
-    assert traj.couplings[rec, 0, 1] == 0.0
+    assert traj.edge_couplings[rec, traj.k_edges.index((0, 1))] == 0.0
+
+
+def test_switch_rejects_couplings_off_the_first_network(five_node):
+    net, _, pp = five_node
+    adj = net.adjacency.copy()
+    adj[0, 1] = 0
+    before = OscillatorNetwork(adj, net.frequencies)
+    st0 = initial_state(net, np.zeros(5), random_couplings(net, 0.01, 0.02, 0))
+    with pytest.raises(ValueError, match="no such edge"):
+        switch_topology_scenario(before, net, pp, st0, 1.0, 2.0)
+
+
+def _dense_switch_reference(before, after, pp, st0, n1, n2, step, stride):
+    """The dense stitching the edge columns replaced: every record a full
+    N x N matrix whose entries off the current network's edges are copied
+    through from the start of that leg."""
+    kind, offset, table = pp.rule.kernel_encoding()
+
+    def leg(net, theta0, k0, n_steps):
+        thetas, kes, _ = _backend.integrate_network(
+            theta0, k0, net.adjacency, net.frequencies, pp.gamma, pp.mu,
+            kind, offset, table, step, n_steps, stride,
+        )
+        ks = np.empty((thetas.shape[0],) + k0.shape)
+        ks[:] = k0
+        ks[:, net.adjacency != 0] = kes
+        return thetas, ks
+
+    thetas1, ks1 = leg(before, st0.phases, st0.couplings, n1)
+    thetas2, ks2 = leg(after, thetas1[-1], ks1[-1], n2)
+    return np.concatenate([thetas1, thetas2[1:]]), np.concatenate([ks1, ks2[1:]])
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "c"])
+def test_switch_edge_history_matches_dense_stitching(request, monkeypatch, five_node, kernel):
+    impl = request.getfixturevalue("kernels_c") if kernel == "c" else _kernels_py
+    monkeypatch.setattr(_backend, "_impl", impl)
+    net, part, pp = five_node
+    adj_before, adj_after = net.adjacency.copy(), net.adjacency.copy()
+    adj_before[0, 1] = 0  # added at the switch
+    adj_after[0, 3] = 0  # removed at the switch
+    before = OscillatorNetwork(adj_before, net.frequencies)
+    after = OscillatorNetwork(adj_after, net.frequencies)
+    st0 = initial_state(before, np.linspace(0.2, 5.0, 5), random_couplings(before, -0.3, 0.3, 8))
+    traj = switch_topology_scenario(before, after, pp, st0, 2.0, 4.0, partition=part)
+    thetas, ks = _dense_switch_reference(before, after, pp, st0, 200, 200, 0.01, 10)
+
+    recv, src = np.array(traj.k_edges).T
+    assert np.array_equal(traj.phases, thetas)
+    assert np.array_equal(traj.edge_couplings, ks[:, recv, src])
+    final = traj.final_state()
+    assert np.array_equal(final.phases, wrap_to_2pi(thetas[-1]))
+    assert np.array_equal(final.couplings, ks[-1])
+    switch = 20  # record of t = 2.0
+    removed, added = traj.k_edges.index((0, 3)), traj.k_edges.index((0, 1))
+    assert (traj.edge_couplings[switch:, removed] == ks[switch, 0, 3]).all()
+    assert (traj.edge_couplings[:switch + 1, added] == 0.0).all()
+    assert (traj.edge_couplings[switch + 1:, added] != 0.0).all()
+
+
+def test_dense_couplings_view(five_node):
+    net, _, pp = five_node
+    st0 = initial_state(net, np.linspace(0, 1, 5), random_couplings(net, -0.1, 0.1, 2))
+    traj = simulate(net, pp, st0, 1.0)
+    assert "couplings" not in traj.__dict__
+    dense = traj.couplings
+    assert dense.shape == (traj.n_records, 5, 5)
+    assert not dense.flags.writeable
+    assert traj.couplings is dense  # built once
+    recv, src = np.array(traj.k_edges).T
+    assert np.array_equal(dense[:, recv, src], traj.edge_couplings)
+    assert not dense[:, net.adjacency == 0].any()
+
+
+def test_large_network_history_stays_on_edges(tmp_path):
+    """N = 1000, 12 inputs per node (E = 12,000): simulate, error_metrics and
+    trajectory_to_csv read the (records, E) columns; the dense view, 8 MB per
+    record here, is never built."""
+    n, half = 1000, 500
+    rng = np.random.default_rng(3)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        own = np.arange(half) + (i // half) * half
+        other = np.arange(half) + (1 - i // half) * half
+        adj[i, rng.choice(own[own != i], 8, replace=False)] = 1
+        adj[i, rng.choice(other, 4, replace=False)] = 1
+    net = OscillatorNetwork(adj, np.where(np.arange(n) < half, 1.0, 1.5))
+    part = ClusterPartition((tuple(range(half)), tuple(range(half, n))))
+    pp = PlasticityParams(gamma=1.0, mu=0.01, rule=LearningRule.hebbian())
+    st0 = initial_state(net, rng.uniform(0, 2 * np.pi, n), random_couplings(net, 0.0, 0.02, 5))
+
+    traj = simulate(net, pp, st0, t_end=0.1, step=0.01, record_stride=5, partition=part)
+    assert traj.edge_couplings.shape == (3, 12000)
+    metrics = error_metrics(traj)
+    assert len(metrics.intra_coupling_limits) == 8000
+    path = tmp_path / "large.csv"
+    trajectory_to_csv(traj, path)
+    header, *rows = path.read_text().splitlines()
+    assert len(rows) == 3
+    assert len(header.split(",")) == 1 + n + (n - 2) + 12000
+    assert "couplings" not in traj.__dict__
 
 
 def test_rhs_full_shapes(five_node):
@@ -280,7 +386,7 @@ def _reference_csv_rows(traj):
         row += [repr(float(v)) for v in traj.phases[rec]]
         if traj.errors is not None:
             row += [repr(float(v)) for v in traj.errors[rec]]
-        row += [repr(float(traj.couplings[rec, i, j])) for i, j in traj.k_edges]
+        row += [repr(float(v)) for v in traj.edge_couplings[rec]]
         yield ",".join(row) + "\n"
 
 

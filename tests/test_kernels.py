@@ -154,7 +154,8 @@ SPARSE_ADJ = np.array([
     [0, 0, 0, 1, 0, 0],
     [0, 0, 0, 0, 0, 0],
 ])
-NON_EDGE_K = {(1, 3): 0.25, (5, 0): -0.5}  # must pass through untouched
+NON_EDGE_K = {(1, 3): 0.25, (5, 0): -0.5}  # must never be read
+EDGE_COLUMN = {(int(i), int(j)): c for c, (i, j) in enumerate(np.argwhere(SPARSE_ADJ))}
 
 
 def _tabulated_rule(table):
@@ -240,33 +241,38 @@ REFERENCE_CASES = [
 def test_integrate_network_matches_per_edge_reference(
     request, monkeypatch, kernel, rule, ref_rule, gamma, blows_up
 ):
-    # driven through the dense adapter, with the selected kernel swapped in
+    # driven through the adapter, with the selected kernel swapped in
     impl = request.getfixturevalue("kernels_c") if kernel == "c" else _kernels_py
     monkeypatch.setattr(_backend, "_impl", impl)
     theta0, k0, freqs, gamma = _sparse_case(gamma)
     mu, step, n_steps, stride = 0.3, 0.01, 400, 10
     kind, offset, table = rule.kernel_encoding()
     args = (theta0, k0, SPARSE_ADJ, freqs, gamma, mu, kind, offset, table, step, n_steps, stride)
+    k0_edges_only = np.where(SPARSE_ADJ != 0, k0, 0.0)
     with np.errstate(all="ignore"):
-        thetas, ks, n_valid = _backend.integrate_network(*args)
+        thetas, kes, n_valid = _backend.integrate_network(*args)
+        thetas_e, kes_e, n_valid_e = _backend.integrate_network(theta0, k0_edges_only, *args[2:])
         monkeypatch.setattr(_backend, "_impl", _kernels_py)
-        thetas_np, ks_np, n_valid_np = _backend.integrate_network(*args)
+        thetas_np, kes_np, n_valid_np = _backend.integrate_network(*args)
     ref = _reference_integrate(theta0, k0, SPARSE_ADJ, freqs, gamma, mu, ref_rule, step, n_steps, stride)
 
     assert n_valid == n_valid_np == len(ref)
     assert (n_valid < n_steps // stride + 1) == blows_up
-    for e, v in NON_EDGE_K.items():
-        assert (ks[:n_valid, e[0], e[1]] == v).all()
-    assert (ks[:n_valid][:, SPARSE_ADJ == 0] == k0[SPARSE_ADJ == 0]).all()
+    assert kes.shape == (n_steps // stride + 1, len(EDGE_COLUMN))
+    # the non-edge entries of k0 change no bit of the result, and k0 is not written
+    assert np.array_equal(k0, _sparse_case(gamma)[1])
+    assert n_valid_e == n_valid
+    assert np.array_equal(thetas_e, thetas, equal_nan=True)
+    assert np.array_equal(kes_e, kes, equal_nan=True)
     if blows_up:
         return  # on the way to overflow the phases are rounding noise mod 2 pi
     kernel_gap = np.angle(np.exp(1j * (thetas[:n_valid] - thetas_np[:n_valid])))
     assert np.abs(kernel_gap).max() <= 1e-11
-    assert np.abs(ks[:n_valid] - ks_np[:n_valid]).max() <= 1e-11
+    assert np.abs(kes[:n_valid] - kes_np[:n_valid]).max() <= 1e-11
     for rec, (theta_ref, k_ref) in enumerate(ref):
         gap = np.angle(np.exp(1j * (thetas[rec] - np.array(theta_ref))))
         assert np.abs(gap).max() <= 1e-11
-        assert max(abs(ks[rec][e] - v) for e, v in k_ref.items()) <= 1e-11
+        assert max(abs(kes[rec, EDGE_COLUMN[e]] - v) for e, v in k_ref.items()) <= 1e-11
 
 
 def _bilinear(column, res, x, y):
@@ -346,6 +352,7 @@ def test_integrate_network_backends_agree(kernels_c, monkeypatch):
     monkeypatch.setattr(_backend, "_impl", kernels_c)
     t_c, k_c, v_c = _backend.integrate_network(*args)
     assert v_py == v_c == 51
+    assert k_py.shape == k_c.shape == (51, 20)
     assert np.abs(t_py - t_c).max() <= 1e-11
     assert np.abs(k_py - k_c).max() <= 1e-11
 
