@@ -6,10 +6,11 @@ Both kernels run behind the same adapter, ``_backend.integrate_network``
 same inputs: first the five-node two-cluster instance to t = 50, then
 the cost per RK4 step on random networks of N = 5, 20, 80 and 320 nodes where
 every node has 4 inputs (E = 4 N edges). Handy after touching
-``_kernels_c.c`` (build it with ``python setup.py build_ext --inplace``): the
-package falls back to the numpy kernel silently when the extension is missing,
-so a missing build shows up here as "n/a" in the C column. The torus sweep is
-numpy-only; ``perfbench --trace 1`` times it as ``kernels.torus_sweep``.
+``_kernels_c.c``: the C kernel comes from the package's own loader,
+``_backend.load_c_kernel``, which rebuilds it when the source has changed.
+The package falls back to the numpy kernel silently when that build fails, so
+here a failed build leaves the C columns empty. The torus sweep is numpy-only;
+``perfbench --trace 1`` times it as ``kernels.torus_sweep``.
 """
 
 import argparse
@@ -26,8 +27,8 @@ from adaptive_kuramoto import (
 from adaptive_kuramoto import _backend, _kernels_py
 
 try:
-    from adaptive_kuramoto import _kernels_c
-except ImportError:
+    _kernels_c = _backend.load_c_kernel()
+except (OSError, ImportError):
     _kernels_c = None
 
 
@@ -118,7 +119,7 @@ def main() -> int:
         _backend._impl = selected
 
     if _kernels_c is None:
-        print("C extension not importable; only the numpy kernel was timed")
+        print("C kernel could not be built; only the numpy kernel was timed")
     return 0
 
 

@@ -6,9 +6,10 @@ to persist, constructs the invariant toroidal manifold carrying the cluster
 dynamics, and searches for minimal edge edits that make a desired partition
 admissible.
 
-The network integrator runs on a small C extension when it is built and on
-NumPy otherwise; set ADAPTIVE_KURAMOTO_BACKEND=python to force NumPy (the
-active choice, "c" or "python", is exposed as ``BACKEND``).
+The network integrator runs on a small C kernel, compiled on first import
+with the interpreter's C compiler, and on NumPy when that build is not
+possible; set ADAPTIVE_KURAMOTO_BACKEND=python to force NumPy (the active
+choice, "c" or "python", is exposed as ``BACKEND``).
 """
 
 from ._backend import BACKEND

@@ -1,7 +1,8 @@
 /* Edge-list RK4 of the adaptive network: the C twin of _kernels_py.integrate_edges,
- * which states the contract. Plain CPython API and buffer protocol only. Every
- * expression runs in the numpy kernel's order, so without fused multiply-add the
- * two agree bit for bit. */
+ * which states the contract. Plain CPython API and buffer protocol only; built on
+ * first import by _backend.load_c_kernel. Every expression runs in the numpy
+ * kernel's order, so without fused multiply-add (-ffp-contract=off in
+ * _backend.CFLAGS) the two agree bit for bit. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>

@@ -1,17 +1,11 @@
 """Shared instances: the worked 5-node and 7-node networks, and the C
-kernel compiled from the source tree.
+kernel built from the source tree.
 
 Adjacency rows are receiver-oriented: a[i][j] = 1 means node i receives
 from node j.
 """
 
-import importlib.util
 import math
-import shlex
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +16,7 @@ from adaptive_kuramoto import (
     OscillatorNetwork,
     PlasticityParams,
 )
+from adaptive_kuramoto import _backend
 
 W2 = math.sqrt(2.0) / 3.0
 W45 = math.sqrt(4.0 / 5.0)
@@ -66,22 +61,10 @@ def seven_node_fixed(seven_node_original):
 
 @pytest.fixture(scope="session")
 def kernels_c(tmp_path_factory):
-    """The C kernel module, compiled from the source tree into a temporary
-    directory with the interpreter's compiler and headers. Skips only when no
-    C compiler is found; a compile error fails the test."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({cc[0]})")
-    source = Path(__file__).parents[1] / "src" / "adaptive_kuramoto" / "_kernels_c.c"
-    target = tmp_path_factory.mktemp("kernels_c") / ("_kernels_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    include = "-I" + sysconfig.get_paths()["include"]
-    build = subprocess.run(
-        [*cc, "-shared", "-fPIC", "-O3", include, str(source), "-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stderr
-    spec = importlib.util.spec_from_file_location("adaptive_kuramoto._kernels_c", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """The C kernel module, built from the source tree into a temporary
+    directory by the package's own loader. Skips only when no C compiler is
+    found; a compile error fails the test."""
+    try:
+        return _backend.load_c_kernel(tmp_path_factory.mktemp("kernels_c"))
+    except FileNotFoundError as exc:
+        pytest.skip(f"no C compiler ({exc.filename})")

@@ -1,7 +1,9 @@
-"""The C and numpy integrator kernels must agree with a per-edge pure-Python
-RK4 and with each other to rounding, and the C entry point must reject bad
-inputs; the numpy torus sweep must agree with a per-point pure-Python RK4,
-and the prepared interpolator bit for bit with the per-corner form."""
+"""The C kernel's loader must compile once per source, compiler and flags,
+and fall back to numpy when it cannot build. The C and numpy integrator
+kernels must agree with a per-edge pure-Python RK4 and with each other to
+rounding, and the C entry point must reject bad inputs; the numpy torus
+sweep must agree with a per-point pure-Python RK4, and the prepared
+interpolator bit for bit with the per-corner form."""
 
 import math
 import os
@@ -22,7 +24,9 @@ def test_backend_identifies_itself():
     assert _backend.BACKEND == BACKEND
 
 
-def test_env_var_forces_python_backend():
+def _numpy_child(code):
+    """Standard output of ``code`` run in a fresh interpreter with
+    ADAPTIVE_KURAMOTO_BACKEND=python."""
     # the child must import the same copy of the package as this process,
     # installed or not, so its parent directory goes first on PYTHONPATH
     package_root = str(Path(adaptive_kuramoto.__file__).parents[1])
@@ -31,13 +35,84 @@ def test_env_var_forces_python_backend():
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", "import adaptive_kuramoto as ak; print(ak.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "python"
+    return out.stdout.strip()
+
+
+def test_env_var_forces_python_backend():
+    assert _numpy_child("import adaptive_kuramoto as ak; print(ak.BACKEND)") == "python"
+
+
+def _no_compile(target):
+    raise AssertionError(f"compiled {target.name}")
+
+
+def test_env_var_attempts_no_build(tmp_path, monkeypatch):
+    monkeypatch.setenv("ADAPTIVE_KURAMOTO_BACKEND", "python")
+    monkeypatch.setattr(_backend, "_compile", _no_compile)
+    assert _backend._select(tmp_path) is _kernels_py
+    assert not any(tmp_path.iterdir())
+
+
+def test_cached_build_loads_without_compiling(kernels_c, monkeypatch):
+    monkeypatch.setattr(_backend, "_compile", _no_compile)
+    again = _backend.load_c_kernel(Path(kernels_c.__file__).parent)
+    assert again.__file__ == kernels_c.__file__
+    assert again.BACKEND_NAME == "c"
+
+
+@pytest.mark.parametrize("key", ["C_SOURCE", "CC", "CFLAGS"])
+def test_cache_name_follows_source_compiler_and_flags(tmp_path, monkeypatch, key):
+    before = _backend.c_kernel_path(tmp_path)
+    edited = tmp_path / "_kernels_c.c"
+    edited.write_bytes(_backend.C_SOURCE.read_bytes() + b"\n")
+    changed = {"C_SOURCE": edited, "CC": ("clang",), "CFLAGS": _backend.CFLAGS + ("-g",)}
+    monkeypatch.setattr(_backend, key, changed[key])
+    after = _backend.c_kernel_path(tmp_path)
+    assert after.name != before.name
+    assert after.name.startswith("_kernels_c.") and after.name.endswith(_backend.EXT_SUFFIX)
+
+
+def test_build_removes_stale_builds_of_this_interpreter(tmp_path):
+    stale = tmp_path / f"_kernels_c.0123456789abcdef{_backend.EXT_SUFFIX}"
+    other = tmp_path / "_kernels_c.0123456789abcdef.other-interpreter.so"
+    for path in (stale, other):
+        path.write_bytes(b"")
+    try:
+        built = _backend.load_c_kernel(tmp_path)
+    except FileNotFoundError as exc:
+        pytest.skip(f"no C compiler ({exc.filename})")
+    assert sorted(tmp_path.iterdir()) == sorted([Path(built.__file__), other])
+
+
+@pytest.mark.parametrize(
+    "compiler, directory",
+    [
+        (("no-such-c-compiler",), "."),
+        ((sys.executable, "-c", "raise SystemExit(1)"), "."),
+        (None, "file/cache"),
+    ],
+    ids=["missing-compiler", "failing-compiler", "unwritable-directory"],
+)
+def test_unusable_build_falls_back_to_numpy(tmp_path, monkeypatch, compiler, directory):
+    (tmp_path / "file").write_text("")
+    monkeypatch.delenv("ADAPTIVE_KURAMOTO_BACKEND", raising=False)
+    if compiler is not None:
+        monkeypatch.setattr(_backend, "CC", compiler)
+    assert _backend._select(tmp_path / directory) is _kernels_py
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_plain_import_does_not_find_the_cached_build():
+    # what a checkout of the package from before the loader would do
+    try:
+        cached = Path(_backend.load_c_kernel().__file__)
+    except FileNotFoundError as exc:
+        pytest.skip(f"no C compiler ({exc.filename})")
+    assert cached.parent == _backend.CACHE_DIR
+    code = "try:\n from adaptive_kuramoto import _kernels_c\nexcept ImportError:\n print('absent')"
+    assert _numpy_child(code) == "absent"
 
 
 def test_grid_points_row_major():
