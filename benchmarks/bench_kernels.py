@@ -2,8 +2,9 @@
 """Wall-clock comparison of the C and numpy network integrators.
 
 Both kernels run behind the same adapter, ``_backend.integrate_network``
-(dense adjacency and couplings in, (records, E) edge columns out), on the
-same inputs: first the five-node two-cluster instance to t = 50, then
+(an edge list and a preallocated (records, N) / (records, E) history with
+the start state in row 0 in; the rest of the history filled in place), on
+the same inputs: first the five-node two-cluster instance to t = 50, then
 the cost per RK4 step on random networks of N = 5, 20, 80 and 320 nodes where
 every node has 4 inputs (E = 4 N edges). Handy after touching
 ``_kernels_c.c``: the C kernel comes from the package's own loader,
@@ -40,26 +41,41 @@ def _instance():
     return net, pp
 
 
+def _integrate(args):
+    """``_backend.integrate_network`` from the start state in ``args``
+    (theta0, k_e0, then its own arguments from ``edges`` on), into a freshly
+    allocated history, as ``dynamics._integrate`` calls it; returns
+    (thetas, kes)."""
+    theta0, k_e0, *rest = args
+    n_steps, stride = rest[-2:]
+    thetas = np.zeros((n_steps // stride + 1, theta0.shape[0]))
+    kes = np.zeros((thetas.shape[0], k_e0.shape[0]))
+    thetas[0], kes[0] = theta0, k_e0
+    _backend.integrate_network(thetas, kes, *rest)
+    return thetas, kes
+
+
 def _best(kernel, args, repeat):
-    """Best-of-``repeat`` seconds of ``_backend.integrate_network`` on
-    ``kernel``, and its output."""
+    """Best-of-``repeat`` seconds of ``_integrate`` on ``kernel``, and its
+    output."""
     _backend._impl = kernel
-    out = _backend.integrate_network(*args)
+    out = _integrate(args)
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        _backend.integrate_network(*args)
+        _integrate(args)
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
 def _integrator_args(net, pp, t_end, step):
-    theta0 = np.array([0.3, 0.45, 0.55, 0.0, -0.1])
-    k0 = random_couplings(net, -0.015, 0.015, seed=7)
+    theta0 = np.mod(np.array([0.3, 0.45, 0.55, 0.0, -0.1]), 2.0 * np.pi)
+    edges = net.edges()
+    k_e0 = random_couplings(net, -0.015, 0.015, seed=7)[edges[:, 0], edges[:, 1]]
     kind, offset, table = pp.rule.kernel_encoding()
     n_steps = int(round(t_end / step))
     return (
-        theta0, k0, net.adjacency, net.frequencies,
+        theta0, k_e0, edges, net.frequencies,
         pp.gamma, pp.mu, kind, offset, table,
         step, n_steps, 10,
     )
@@ -81,7 +97,7 @@ def _scaling_args(n):
     k0 = np.where(adj != 0, rng.uniform(-0.015, 0.015, (n, n)), 0.0)
     kind, offset, table = LearningRule.hebbian().kernel_encoding()
     return (
-        rng.uniform(0.0, 2.0 * np.pi, n), k0, adj, rng.uniform(0.4, 0.6, n),
+        rng.uniform(0.0, 2.0 * np.pi, n), k0[adj != 0], np.argwhere(adj), rng.uniform(0.4, 0.6, n),
         1.0, 0.01, kind, offset, table,
         0.01, SCALING_STEPS, 10,
     )
@@ -93,7 +109,7 @@ def _compare(args, repeat, scale, unit):
     row = f"{t_py * scale:>8.1f}{unit}"
     if _kernels_c is not None:
         t_c, out_c = _best(_kernels_c, args, repeat)
-        diff = max(float(np.abs(a - b).max()) for a, b in zip(out_py[:2], out_c[:2]))
+        diff = max(float(np.abs(a - b).max()) for a, b in zip(out_py, out_c))
         row += f" {t_c * scale:>8.1f}{unit} {t_py / t_c:>7.1f}x  {diff:.2e}"
     return row
 

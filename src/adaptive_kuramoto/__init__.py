@@ -25,7 +25,6 @@ from .design import (
     DesignResult,
     PerturbationMatrix,
     brute_force_min_edits,
-    c_tilde_out,
     design_topology,
     min_edits_for_targets,
 )
@@ -55,6 +54,7 @@ from .network import (
     OscillatorNetwork,
     apply_perturbation,
     build_network,
+    c_tilde_out,
     check_frequencies,
     compute_cardinalities,
     inter_cluster_structure,

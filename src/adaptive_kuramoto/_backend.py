@@ -8,9 +8,10 @@ the numpy ``_kernels_py`` is the fallback when there is no C compiler, the
 directory is not writable or the build fails. Setting
 ADAPTIVE_KURAMOTO_BACKEND=python forces the fallback without attempting a
 build (for debugging and timing the numpy kernel). The two give the same
-results to rounding. ``integrate_network`` is the one place that turns a
-dense adjacency and coupling matrix into that contract; it returns the edge
-columns as they are.
+results to rounding. ``integrate_network`` is the thin adapter that
+``dynamics._integrate`` calls: the caller's edge list and its preallocated
+history go in, start state in row 0, and the kernel fills the rest in
+place.
 
 The torus sweep is the numpy kernel on both backends.
 """
@@ -107,30 +108,23 @@ torus_sweep = _kernels_py.torus_sweep
 
 
 def integrate_network(
-    theta0, k0, adj, freqs, gamma, mu, rule_kind, rule_offset, rule_table, step, n_steps, record_stride
+    thetas, kes, edges, freqs, gamma, mu, rule_kind, rule_offset, rule_table, step, n_steps, record_stride
 ):
     """Fixed-step RK4 of the full adaptive network
         dtheta_i = w_i + sum_j a_ij k_ij sin(theta_j - theta_i)
         dk_ij    = -gamma k_ij + mu Gamma(theta_j - theta_i)   on edges only,
-    with phases wrapped to [0, 2 pi) after every step and a record every
-    ``record_stride`` steps (the initial state included). Returns (thetas,
-    kes, n_valid): (n_records, N) phases, (n_records, E) couplings with one
-    column per edge of ``adj`` in row-major order, and the count of finite
-    records; the run ends at the first non-finite one. Non-edge entries of
-    ``k0`` are never read."""
-    if n_steps % record_stride != 0:
-        raise ValueError("n_steps must be a multiple of record_stride")
-    recv, src = (np.ascontiguousarray(a, dtype=np.int64) for a in np.nonzero(adj))
-    theta = np.mod(np.asarray(theta0, dtype=np.float64), _kernels_py.TWO_PI)
-    k_e = np.asarray(k0, dtype=np.float64)[recv, src]
-    n_records = n_steps // record_stride + 1
-    thetas = np.zeros((n_records, theta.shape[0]))
-    kes = np.zeros((n_records, k_e.shape[0]))
-    thetas[0], kes[0] = theta, k_e
-    n_valid = _impl.integrate_edges(
-        theta, k_e, recv, src, np.ascontiguousarray(freqs, dtype=np.float64),
+    on ``edges``, (E, 2) (receiver, source) pairs. Row 0 of the C-contiguous
+    float64 ``thetas`` (n_steps // record_stride + 1, N) and ``kes`` (same
+    rows, E) holds the start state; the kernel fills the rows after it, one
+    every ``record_stride`` steps, with phases wrapped to [0, 2 pi) after
+    every step. Returns the count of finite records; the run ends at the
+    first non-finite one."""
+    if n_steps % record_stride or thetas.shape[0] != n_steps // record_stride + 1:
+        raise ValueError("thetas must have n_steps / record_stride + 1 rows")
+    recv, src = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).T)
+    return _impl.integrate_edges(
+        thetas[0], kes[0], recv, src, np.ascontiguousarray(freqs, dtype=np.float64),
         float(gamma), float(mu), int(rule_kind), float(rule_offset),
         np.ascontiguousarray(rule_table, dtype=np.float64),
         float(step), int(record_stride), thetas, kes,
     )
-    return thetas, kes, n_valid

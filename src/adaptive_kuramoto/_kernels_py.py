@@ -13,8 +13,9 @@
     stage (``edge_rhs``) evaluates sin and Gamma once per edge; the
     per-receiver sum starts at 0 and runs in edge order (``np.bincount``),
     then ``freqs +``. ``_backend.integrate_network`` is the adapter around
-    it: edge list, record 0 and allocation; the (records, E) output is the
-    coupling history the caller keeps.
+    it; ``dynamics._integrate`` builds the edge list, allocates the history,
+    writes record 0 and keeps the (records, E) output as the coupling
+    history.
 
 ``torus_sweep``
     One pass of the successive approximation for the invariant torus. From

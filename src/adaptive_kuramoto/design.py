@@ -46,7 +46,6 @@ from .network import (
     OscillatorNetwork,
     _check_same_size,
     _readonly,
-    c_tilde_out,
     check_frequencies,
     compute_cardinalities,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "DesignResult",
     "min_edits_for_targets",
     "design_topology",
-    "c_tilde_out",
 ]
 
 MAX_DESIGN_CANDIDATES = 1_000_000  # about 0.23 GB and 4 s of candidate tuples

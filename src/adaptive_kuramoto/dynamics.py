@@ -7,7 +7,11 @@ Full system (receiver-row adjacency a, plasticity rule Gamma):
 
 Coupling entries on non-edges are never read or integrated. Integration is
 fixed-step RK4 (default step 0.01) with snapshots every ``record_stride``
-steps; phases are stored wrapped to [0, 2 pi).
+steps; phases are stored wrapped to [0, 2 pi). ``simulate`` (one network)
+and ``switch_topology_scenario`` (two in turn) share ``_integrate``: it keeps
+the history as (records, N) phases and (records, E) couplings on one
+row-major edge list, the union of the networks' edges, and has
+``_backend.integrate_network`` fill each network's rows in place.
 
 Given a partition, the intra-cluster errors are e_i = theta_i - theta_{i_s}
 for non-representative nodes i of P_s, wrapped to (-pi, pi] (ties resolved
@@ -115,7 +119,7 @@ def random_couplings(net: OscillatorNetwork, low: float, high: float, seed: int)
         raise ValueError("need low <= high")
     rng = np.random.default_rng(seed)
     out = np.zeros((net.n_nodes, net.n_nodes))
-    recv, src = np.nonzero(net.adjacency)
+    recv, src = net.edges().T
     out[recv, src] = rng.uniform(low, high, size=recv.size)
     return out
 
@@ -188,11 +192,6 @@ def cluster_errors(part: ClusterPartition, phases: np.ndarray) -> np.ndarray:
     return wrap_to_pi(phases[..., nodes] - phases[..., ref])
 
 
-def _record_times(n_steps: int, step: float, record_stride: int) -> np.ndarray:
-    n_records = n_steps // record_stride + 1
-    return np.arange(n_records) * (record_stride * step)
-
-
 def _resolve_steps(t_end: float, step: float, record_stride: int) -> int:
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -204,49 +203,77 @@ def _resolve_steps(t_end: float, step: float, record_stride: int) -> int:
     return n_steps - n_steps % record_stride
 
 
-def _run(
-    net: OscillatorNetwork,
+def _integrate(
+    legs: list[tuple[OscillatorNetwork, int]],
     pp: PlasticityParams,
-    theta0: np.ndarray,
-    k0: np.ndarray,
-    n_steps: int,
+    initial: NetworkState,
     step: float,
     record_stride: int,
-):
+    partition: ClusterPartition | None,
+) -> Trajectory:
+    """Run the legs (network, n_steps) one after another from ``initial``.
+
+    The history has one column per edge of any leg, in row-major order. Each
+    leg integrates its own edges from the last record of the one before; the
+    other columns carry that record forward, so an edge a leg drops stays
+    frozen and an edge not yet added stays 0. The record times keep one
+    stride across the legs. Raises IntegrationBlowup, with the finite prefix
+    and the failing leg's network, on a non-finite state.
+    """
+    first = legs[0][0]
+    if initial.phases.shape[0] != first.n_nodes:
+        raise ValueError("initial state size does not match the network")
+    if partition is not None and partition.n_nodes != first.n_nodes:
+        raise ValueError("partition does not match the network")
+    _check_off_edge_couplings(first, initial.couplings)
+
+    edges = np.argwhere(sum(net.adjacency for net, _ in legs))  # net.edges() for one leg
+    recv, src = edges.T
+    n_records = 1 + sum(n_steps for _, n_steps in legs) // record_stride
+    times = np.zeros(n_records)
+    thetas = np.zeros((n_records, first.n_nodes))
+    kes = np.zeros((n_records, edges.shape[0]))
+    thetas[0], kes[0] = initial.phases, initial.couplings[recv, src]
     kind, offset, table = pp.rule.kernel_encoding()
-    return _backend.integrate_network(
-        theta0, k0, net.adjacency, net.frequencies,
-        pp.gamma, pp.mu, kind, offset, table,
-        step, n_steps, record_stride,
-    )
 
+    r0, keep = 0, n_records  # the record a leg starts from; the finite records
+    for net, n_steps in legs:
+        r1 = r0 + n_steps // record_stride
+        times[r0:r1 + 1] = times[r0] + np.arange(r1 - r0 + 1) * (record_stride * step)
+        live = net.adjacency[recv, src] != 0
+        partial = not live.all()
+        if partial:  # the leg's columns are not contiguous: integrate them apart
+            leg_kes = np.zeros((r1 - r0 + 1, live.sum()))
+            leg_kes[0] = kes[r0, live]
+        else:
+            leg_kes = kes[r0:r1 + 1]
+        n_valid = _backend.integrate_network(
+            thetas[r0:r1 + 1], leg_kes, edges[live], net.frequencies,
+            pp.gamma, pp.mu, kind, offset, table,
+            step, n_steps, record_stride,
+        )
+        if partial:
+            kes[r0 + 1:r1 + 1] = kes[r0]
+            kes[r0 + 1:r1 + 1, live] = leg_kes[1:]
+        if n_valid < r1 - r0 + 1:
+            keep = r0 + n_valid
+            break
+        r0 = r1
 
-def _build_trajectory(times, thetas, kes, net, part, k_edges) -> Trajectory:
-    if part is not None:
-        errors = cluster_errors(part, thetas)
-        error_nodes = part.non_representatives()
-    else:
-        errors, error_nodes = None, ()
-    return Trajectory(
+    times, thetas, kes = times[:keep], thetas[:keep], kes[:keep]
+    traj = Trajectory(
         times=times,
         phases=thetas,
         edge_couplings=kes,
         network=net,
-        partition=part,
-        errors=errors,
-        error_nodes=error_nodes,
-        k_edges=k_edges,
+        partition=partition,
+        errors=None if partition is None else cluster_errors(partition, thetas),
+        error_nodes=() if partition is None else partition.non_representatives(),
+        k_edges=tuple(map(tuple, edges.tolist())),
     )
-
-
-def _check_blowup(times, thetas, kes, n_valid, net, part, k_edges) -> None:
-    """Raise IntegrationBlowup carrying the first ``n_valid`` records when
-    that is fewer than all of them."""
-    if n_valid < times.shape[0]:
-        prefix = _build_trajectory(
-            times[:n_valid], thetas[:n_valid], kes[:n_valid], net, part, k_edges
-        )
-        raise IntegrationBlowup(float(times[n_valid - 1]), prefix)
+    if keep < n_records:
+        raise IntegrationBlowup(float(times[-1]), traj)
+    return traj
 
 
 def simulate(
@@ -265,20 +292,8 @@ def simulate(
     yields the initial state only. Raises IntegrationBlowup on a non-finite
     state, with the finite prefix attached.
     """
-    if initial.phases.shape[0] != net.n_nodes:
-        raise ValueError("initial state size does not match the network")
-    if partition is not None and partition.n_nodes != net.n_nodes:
-        raise ValueError("partition does not match the network")
-    _check_off_edge_couplings(net, initial.couplings)
-
     n_steps = _resolve_steps(t_end, step, record_stride)
-    thetas, kes, n_valid = _run(
-        net, pp, initial.phases, initial.couplings, n_steps, step, record_stride
-    )
-    times = _record_times(n_steps, step, record_stride)
-    k_edges = tuple((int(i), int(j)) for i, j in net.edges())
-    _check_blowup(times, thetas, kes, n_valid, net, partition, k_edges)
-    return _build_trajectory(times, thetas, kes, net, partition, k_edges)
+    return _integrate([(net, n_steps)], pp, initial, step, record_stride, partition)
 
 
 def switch_topology_scenario(
@@ -308,39 +323,10 @@ def switch_topology_scenario(
 
     if t_switch >= t_end:
         return simulate(net_before, pp, initial, t_end, step, record_stride, partition)
-    _check_off_edge_couplings(net_before, initial.couplings)
-
     n1 = _resolve_steps(t_switch, step, record_stride)
     n2 = _resolve_steps(t_end, step, record_stride) - n1
-
-    # one column per edge of either network, row-major; each network's own
-    # edges are a row-major subset of them
-    union = (net_before.adjacency + net_after.adjacency) > 0
-    union_edges = tuple((int(i), int(j)) for i, j in np.argwhere(union))
-    in_before, in_after = net_before.adjacency[union] != 0, net_after.adjacency[union] != 0
-
-    thetas1, kes1, v1 = _run(
-        net_before, pp, initial.phases, initial.couplings, n1, step, record_stride
-    )
-    times1 = _record_times(n1, step, record_stride)
-    n_pre = times1.shape[0]
-    kes = np.zeros((n_pre + n2 // record_stride, len(union_edges)))
-    kes[:n_pre, in_before] = kes1
-    _check_blowup(times1, thetas1, kes[:n_pre], v1, net_before, partition, union_edges)
-
-    k_switch = np.zeros(union.shape)
-    k_switch[union] = kes[n_pre - 1]
-    thetas2, kes2, v2 = _run(
-        net_after, pp, thetas1[-1], k_switch, n2, step, record_stride
-    )
-    kes[n_pre:] = kes[n_pre - 1]  # removed edges keep their switch-time values
-    kes[n_pre:, in_after] = kes2[1:]
-    times2 = times1[-1] + _record_times(n2, step, record_stride)
-    times = np.concatenate([times1, times2[1:]])
-    thetas = np.concatenate([thetas1, thetas2[1:]], axis=0)
-    keep = n_pre + v2 - 1  # the switch record is shared
-    _check_blowup(times, thetas, kes, keep, net_after, partition, union_edges)
-    return _build_trajectory(times, thetas, kes, net_after, partition, union_edges)
+    legs = [(net_before, n1), (net_after, n2)]
+    return _integrate(legs, pp, initial, step, record_stride, partition)
 
 
 def rhs_full(net: OscillatorNetwork, pp: PlasticityParams, state: NetworkState):
@@ -351,7 +337,7 @@ def rhs_full(net: OscillatorNetwork, pp: PlasticityParams, state: NetworkState):
     if state.phases.shape[0] != net.n_nodes:
         raise ValueError("state size does not match the network")
     kind, offset, table = pp.rule.kernel_encoding()
-    recv, src = np.nonzero(net.adjacency)
+    recv, src = net.edges().T
     dtheta, dk_edges = edge_rhs(
         state.phases, state.couplings[recv, src], recv, src,
         net.frequencies, pp.gamma, pp.mu, kind, offset, table,

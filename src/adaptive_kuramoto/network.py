@@ -344,7 +344,7 @@ def inter_cluster_structure(
     _check_same_size(net, part)
     m = part.m
     cluster_of = part.cluster_of()
-    recv, src = np.nonzero(net.adjacency)
+    recv, src = net.edges().T
     inter = cluster_of[recv] != cluster_of[src]
     edges = np.column_stack([recv[inter], src[inter]])
     intra = np.column_stack([recv[~inter], src[~inter]])

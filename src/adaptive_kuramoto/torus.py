@@ -477,11 +477,8 @@ class ClusterManifold:
         n = self.network.n_nodes
         kmat = np.zeros((n, n))
         structure = inter_cluster_structure(self.network, self.partition)
-        for i, j in structure.intra_edges:
-            kmat[i, j] = self.intra.value
-        u_here = self.inter.evaluate(phi)
-        for e, (i, j) in enumerate(structure.edges):
-            kmat[i, j] = u_here[e]
+        kmat[tuple(structure.intra_edges.T)] = self.intra.value
+        kmat[tuple(structure.edges.T)] = self.inter.evaluate(phi)
         return NetworkState(theta, kmat)
 
 

@@ -260,6 +260,83 @@ def test_switch_rejects_couplings_off_the_first_network(five_node):
         switch_topology_scenario(before, net, pp, st0, 1.0, 2.0)
 
 
+def _blowup_switch_case():
+    """mu = 0, so every coupling obeys dk/dt = -gamma k on its own, and RK4 at
+    step * gamma = 5 multiplies it by R(-5) = 13.7 per step: from |k| <= 1
+    it overflows after about 270 steps. The largest coupling sits on edge
+    (1, 0), live throughout, so with or without the switch the state passes
+    1e295 at t = 2.6 and turns non-finite in the next record: the prefix
+    holds 27 records. Edge (0, 2) is removed at the switch and (2, 1) added."""
+    freqs = [1.0, 1.2, 0.8]
+    before = build_network([[0, 1, 1], [1, 0, 0], [0, 0, 0]], freqs)
+    after = build_network([[0, 1, 0], [1, 0, 0], [0, 1, 0]], freqs)
+    pp = PlasticityParams(gamma=500.0, mu=0.0, rule=LearningRule.hebbian())
+    st0 = initial_state(before, [0.1, 0.5, 2.0], random_couplings(before, 0.5, 1.0, 3))
+    return before, after, pp, st0
+
+
+UNION_EDGES = ((0, 1), (0, 2), (1, 0), (2, 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", ["numpy", "c"])
+def test_switch_blowup_before_the_switch(request, monkeypatch, kernel):
+    impl = request.getfixturevalue("kernels_c") if kernel == "c" else _kernels_py
+    monkeypatch.setattr(_backend, "_impl", impl)
+    before, after, pp, st0 = _blowup_switch_case()
+    with pytest.raises(IntegrationBlowup) as plain:
+        simulate(before, pp, st0, t_end=5.0)
+    with pytest.raises(IntegrationBlowup) as switched:
+        switch_topology_scenario(before, after, pp, st0, t_switch=5.0, t_end=8.0)
+    ref, traj = plain.value.trajectory, switched.value.trajectory
+
+    # leg 1 is the plain run of the first network, cut at the same record
+    assert traj.n_records == ref.n_records == 27
+    assert switched.value.last_valid_time == pytest.approx(2.6)
+    assert switched.value.last_valid_time == plain.value.last_valid_time == traj.times[-1]
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.phases, ref.phases)
+    assert traj.network is before
+    assert traj.k_edges == UNION_EDGES
+    live = [UNION_EDGES.index(e) for e in ref.k_edges]
+    assert np.array_equal(traj.edge_couplings[:, live], ref.edge_couplings)
+    assert (traj.edge_couplings[:, UNION_EDGES.index((2, 1))] == 0.0).all()  # not added yet
+    assert np.isfinite(traj.edge_couplings).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", ["numpy", "c"])
+def test_switch_blowup_after_the_switch(request, monkeypatch, kernel):
+    impl = request.getfixturevalue("kernels_c") if kernel == "c" else _kernels_py
+    monkeypatch.setattr(_backend, "_impl", impl)
+    before, after, pp, st0 = _blowup_switch_case()
+    with pytest.raises(IntegrationBlowup) as switched:
+        switch_topology_scenario(before, after, pp, st0, t_switch=1.0, t_end=5.0)
+    traj = switched.value.trajectory
+    # reference: the plain pre-switch run, then a plain run of the second
+    # network from its final state, with the removed edge's coupling dropped
+    pre = simulate(before, pp, st0, t_end=1.0)
+    k_switch = pre.final_state().couplings.copy()
+    k_switch[0, 2] = 0.0
+    with pytest.raises(IntegrationBlowup) as plain:
+        simulate(after, pp, initial_state(after, pre.phases[-1], k_switch), t_end=4.0)
+    post = plain.value.trajectory
+
+    switch = pre.n_records - 1  # record of t = 1.0, shared by both legs
+    assert traj.n_records == switch + post.n_records == 27
+    assert switched.value.last_valid_time == traj.times[-1] == pytest.approx(2.6)
+    assert switched.value.last_valid_time == pytest.approx(1.0 + plain.value.last_valid_time)
+    assert np.array_equal(traj.phases[:switch + 1], pre.phases)
+    assert np.array_equal(traj.phases[switch:], post.phases)
+    assert traj.network is after
+    assert traj.k_edges == UNION_EDGES
+    live = [UNION_EDGES.index(e) for e in post.k_edges]
+    assert np.array_equal(traj.edge_couplings[switch:, live], post.edge_couplings)
+    removed = traj.edge_couplings[switch:, UNION_EDGES.index((0, 2))]
+    assert (removed == pre.edge_couplings[-1, pre.k_edges.index((0, 2))]).all()
+    assert np.isfinite(traj.edge_couplings).all()
+
+
 def _dense_switch_reference(before, after, pp, st0, n1, n2, step, stride):
     """The dense stitching the edge columns replaced: every record a full
     N x N matrix whose entries off the current network's edges are copied
@@ -267,8 +344,11 @@ def _dense_switch_reference(before, after, pp, st0, n1, n2, step, stride):
     kind, offset, table = pp.rule.kernel_encoding()
 
     def leg(net, theta0, k0, n_steps):
-        thetas, kes, _ = _backend.integrate_network(
-            theta0, k0, net.adjacency, net.frequencies, pp.gamma, pp.mu,
+        thetas = np.zeros((n_steps // stride + 1, net.n_nodes))
+        kes = np.zeros((thetas.shape[0], net.n_edges))
+        thetas[0], kes[0] = theta0, k0[net.adjacency != 0]
+        _backend.integrate_network(
+            thetas, kes, net.edges(), net.frequencies, pp.gamma, pp.mu,
             kind, offset, table, step, n_steps, stride,
         )
         ks = np.empty((thetas.shape[0],) + k0.shape)

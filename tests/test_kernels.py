@@ -229,8 +229,20 @@ SPARSE_ADJ = np.array([
     [0, 0, 0, 1, 0, 0],
     [0, 0, 0, 0, 0, 0],
 ])
-NON_EDGE_K = {(1, 3): 0.25, (5, 0): -0.5}  # must never be read
-EDGE_COLUMN = {(int(i), int(j)): c for c, (i, j) in enumerate(np.argwhere(SPARSE_ADJ))}
+SPARSE_EDGES = np.argwhere(SPARSE_ADJ)
+EDGE_COLUMN = {(int(i), int(j)): c for c, (i, j) in enumerate(SPARSE_EDGES)}
+
+
+def _run_adapter(theta0, k_e0, edges, freqs, gamma, mu, kind, offset, table, step, n_steps, stride):
+    """``_backend.integrate_network`` from a start state, as
+    ``dynamics._integrate`` calls it: returns (thetas, kes, n_valid)."""
+    thetas = np.zeros((n_steps // stride + 1, len(theta0)))
+    kes = np.zeros((thetas.shape[0], len(k_e0)))
+    thetas[0], kes[0] = theta0, k_e0
+    n_valid = _backend.integrate_network(
+        thetas, kes, edges, freqs, gamma, mu, kind, offset, table, step, n_steps, stride
+    )
+    return thetas, kes, n_valid
 
 
 def _tabulated_rule(table):
@@ -293,8 +305,6 @@ def _reference_integrate(theta0, k0, adj, freqs, gamma, mu, rule, step, n_steps,
 def _sparse_case(gamma):
     rng = np.random.default_rng(11)
     k0 = np.where(SPARSE_ADJ != 0, rng.uniform(-1.0, 1.0, SPARSE_ADJ.shape), 0.0)
-    for e, v in NON_EDGE_K.items():
-        k0[e] = v
     theta0 = rng.uniform(-1.0, 7.0, 6)  # some outside [0, 2 pi) to exercise the wrap
     freqs = np.array([0.5, 0.9, 0.2, 1.3, 0.7, 1.1])
     return theta0, k0, freqs, gamma
@@ -322,23 +332,19 @@ def test_integrate_network_matches_per_edge_reference(
     theta0, k0, freqs, gamma = _sparse_case(gamma)
     mu, step, n_steps, stride = 0.3, 0.01, 400, 10
     kind, offset, table = rule.kernel_encoding()
-    args = (theta0, k0, SPARSE_ADJ, freqs, gamma, mu, kind, offset, table, step, n_steps, stride)
-    k0_edges_only = np.where(SPARSE_ADJ != 0, k0, 0.0)
+    k_e0 = k0[SPARSE_ADJ != 0]
+    args = (theta0, k_e0, SPARSE_EDGES, freqs, gamma, mu, kind, offset, table, step, n_steps, stride)
     with np.errstate(all="ignore"):
-        thetas, kes, n_valid = _backend.integrate_network(*args)
-        thetas_e, kes_e, n_valid_e = _backend.integrate_network(theta0, k0_edges_only, *args[2:])
+        thetas, kes, n_valid = _run_adapter(*args)
         monkeypatch.setattr(_backend, "_impl", _kernels_py)
-        thetas_np, kes_np, n_valid_np = _backend.integrate_network(*args)
+        thetas_np, kes_np, n_valid_np = _run_adapter(*args)
     ref = _reference_integrate(theta0, k0, SPARSE_ADJ, freqs, gamma, mu, ref_rule, step, n_steps, stride)
 
     assert n_valid == n_valid_np == len(ref)
     assert (n_valid < n_steps // stride + 1) == blows_up
     assert kes.shape == (n_steps // stride + 1, len(EDGE_COLUMN))
-    # the non-edge entries of k0 change no bit of the result, and k0 is not written
-    assert np.array_equal(k0, _sparse_case(gamma)[1])
-    assert n_valid_e == n_valid
-    assert np.array_equal(thetas_e, thetas, equal_nan=True)
-    assert np.array_equal(kes_e, kes, equal_nan=True)
+    # row 0 is the start state as the caller wrote it; the kernel fills the rest
+    assert np.array_equal(thetas[0], theta0) and np.array_equal(kes[0], k_e0)
     if blows_up:
         return  # on the way to overflow the phases are rounding noise mod 2 pi
     kernel_gap = np.angle(np.exp(1j * (thetas[:n_valid] - thetas_np[:n_valid])))
@@ -421,11 +427,11 @@ def test_integrate_network_backends_agree(kernels_c, monkeypatch):
     # expressions in the same order)
     adj, w, theta0, k0 = _setup_five()
     kind, offset, table = LearningRule.hebbian().kernel_encoding()
-    args = (theta0, k0, adj, w, 1.0, 0.01, kind, offset, table, 0.01, 500, 10)
+    args = (theta0, k0[adj == 1], np.argwhere(adj), w, 1.0, 0.01, kind, offset, table, 0.01, 500, 10)
     monkeypatch.setattr(_backend, "_impl", _kernels_py)
-    t_py, k_py, v_py = _backend.integrate_network(*args)
+    t_py, k_py, v_py = _run_adapter(*args)
     monkeypatch.setattr(_backend, "_impl", kernels_c)
-    t_c, k_c, v_c = _backend.integrate_network(*args)
+    t_c, k_c, v_c = _run_adapter(*args)
     assert v_py == v_c == 51
     assert k_py.shape == k_c.shape == (51, 20)
     assert np.abs(t_py - t_c).max() <= 1e-11
