@@ -11,11 +11,13 @@
 
 static const double TWO_PI = 6.283185307179586476925286766559;
 
-/* np.mod(x, 2 pi): fmod moved into [0, 2 pi), zero kept as +0 */
+/* _kernels_py.wrap_to_2pi: fmod moved into [0, 2 pi], then zero and the 2 pi
+ * that a tiny negative x rounds to both as +0 */
 static double wrap(double x)
 {
     double t = fmod(x, TWO_PI);
-    return t == 0.0 ? 0.0 : (t < 0.0 ? t + TWO_PI : t);
+    if (t < 0.0) t += TWO_PI;
+    return t == 0.0 || t == TWO_PI ? 0.0 : t;
 }
 
 typedef struct {

@@ -50,13 +50,19 @@ BACKEND_NAME = "python"
 TWO_PI = 2.0 * np.pi
 
 
+def wrap_to_2pi(x):
+    """Wrap angles to [0, 2 pi). One np.mod can round a tiny negative angle
+    up to exactly 2 pi; the second maps that to +0 and leaves the rest."""
+    return np.mod(np.mod(x, TWO_PI), TWO_PI)
+
+
 def rule_values(kind: int, offset: float, table: np.ndarray, s: np.ndarray) -> np.ndarray:
     if kind == 0:
         return np.cos(s)
     if kind == 1:
         return np.cos(s - offset)
     n = table.size
-    t = np.mod(s, TWO_PI) * (n / TWO_PI)
+    t = wrap_to_2pi(s) * (n / TWO_PI)
     base = np.floor(t)
     i0 = base.astype(np.int64) % n
     frac = t - base
@@ -95,7 +101,7 @@ def integrate_edges(
                 t2, k2 = rhs(theta + h2 * t1, k_e + h2 * k1)
                 t3, k3 = rhs(theta + h2 * t2, k_e + h2 * k2)
                 t4, k4 = rhs(theta + h * t3, k_e + h * k3)
-                theta = np.mod(theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4), TWO_PI)
+                theta = wrap_to_2pi(theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4))
                 k_e = k_e + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             thetas_out[rec], kes_out[rec] = theta, k_e
             if not (np.isfinite(theta).all() and np.isfinite(k_e).all()):

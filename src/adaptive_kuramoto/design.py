@@ -5,13 +5,14 @@ directed edges. A signed edit mask (PerturbationMatrix) makes the per-pair
 incoming counts uniform at chosen targets T, which restores the count
 uniformity requirement by construction.
 
-The search enumerates per-pair target counts, orders candidates by ascending
-total edit cost (then smaller c_max, then smaller total count, then the
-target tuple itself, so results are deterministic), and returns the first
-candidate within the edit budget whose edited network passes the sufficient
-conditions. When none passes, the result is infeasible and carries the most
-promising affordable candidate (lowest ratio) as a diagnostic, or the
-cheapest candidate when none is affordable.
+The search scans every table of per-pair target counts once, in one pass
+that keeps no list of candidates. A candidate's key is its total edit cost,
+then c_max, then the total count, then the target tuple itself, so results
+are deterministic. The result is the candidate with the least key among those
+within the edit budget whose edited network passes the sufficient
+conditions. When none passes, the result is infeasible and carries the
+affordable candidate with the lowest ratio (ties to the least key) as a
+diagnostic, or the candidate with the least key when none is affordable.
 
 Candidates are scored in closed form from T alone. On the edited network
 c_sr = T_sr, c_max is the largest row sum of T, sum c_sr = sum T and
@@ -21,7 +22,7 @@ inequalities of a candidate are one ``_a3_quantities`` call with the integers
 the full check would pass. Only the returned candidate gets an edit mask and
 the full ``check_perturbed_conditions`` report, and a report that disagrees
 with the closed form raises. A search with more than MAX_DESIGN_CANDIDATES
-target tables fails fast, before any candidate is built.
+target tables fails fast, before the scan.
 
 Edit placement is deterministic: surplus inputs are removed starting from the
 lowest source index, deficits are filled from the lowest-index non-neighbors.
@@ -57,7 +58,7 @@ __all__ = [
     "design_topology",
 ]
 
-MAX_DESIGN_CANDIDATES = 1_000_000  # about 0.23 GB and 4 s of candidate tuples
+MAX_DESIGN_CANDIDATES = 1_000_000  # about 1 s of scan time (2 CPUs); the scan keeps no list
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,12 @@ def min_edits_for_targets(
     return PerturbationMatrix(entries)
 
 
-def _candidate_order(per_node: np.ndarray, part: ClusterPartition):
-    """All target tables with per-pair entries in [0, min(|P_r|, max+1)], as
-    (total edit cost, c_max, total count, entries, c_out) tuples sorted in
-    that order. The entries are unique, so c_out never decides the order.
+def _row_options(per_node: np.ndarray, part: ClusterPartition):
+    """Per cluster s, every row of a target table with per-pair entries in
+    [0, min(|P_r|, max+1)], as (entries, edit cost, row sum, c_out share)
+    tuples in ascending entries order. A table is one option per row.
 
-    Raises before building anything when there are more than
-    MAX_DESIGN_CANDIDATES tables.
+    Raises when there are more than MAX_DESIGN_CANDIDATES tables.
     """
     m = part.m
     sizes = [len(cluster) for cluster in part.clusters]
@@ -199,23 +199,13 @@ def _candidate_order(per_node: np.ndarray, part: ClusterPartition):
             f"design search has {count} candidate target tables, more than "
             f"the limit of {MAX_DESIGN_CANDIDATES}"
         )
-
-    # a table is one choice per row: (entries, cost, row sum, c_out share)
-    row_options = [
+    return [
         [
             (row, sum(map(list.__getitem__, costs, row)), sum(row), sizes[s] * sum(row))
             for row in itertools.product(*(range(len(c)) for c in costs))
         ]
         for s, costs in enumerate(row_costs)
     ]
-    candidates = []
-    for choice in itertools.product(*row_options):
-        rows, row_cost, row_sum, row_out = zip(*choice)
-        candidates.append(
-            (sum(row_cost), max(row_sum), sum(row_sum), sum(rows, ()), sum(row_out))
-        )
-    candidates.sort()
-    return candidates
 
 
 def design_topology(
@@ -242,32 +232,39 @@ def design_topology(
         )
 
     per_node = compute_cardinalities(net, part).per_node_incoming
-    order = _candidate_order(per_node, part)
     w_abs = np.abs(net.frequencies)
     w_min, w_max = float(w_abs.min()), float(w_abs.max())
 
-    chosen = None
-    best = None  # (ratio_key, cost, candidate)
-    for candidate in order:
-        cost, c_max, total, _combo, c_out = candidate
-        if cost > max_edits:
-            break  # sorted by cost: no later candidate is affordable either
-        lhs, ratio = _a3_quantities(w_min, w_max, pp, c_max, total, c_out)
-        if lhs > 0.0 and ratio < 1.0:
-            chosen = candidate
-            break
-        ratio_key = ratio if math.isfinite(ratio) else math.inf
-        if best is None or (ratio_key, cost) < best[:2]:
-            best = (ratio_key, cost, candidate)
-    if chosen is None:
-        # the most promising affordable candidate, else the cheapest one
-        chosen = best[2] if best is not None else order[0]
+    # One running minimum of a rank that orders the three rules: an affordable
+    # passing candidate (0, key) before an affordable failing one (1, ratio,
+    # key) before an unaffordable one (2, key), with key = (cost, c_max,
+    # total). The product runs in ascending entries order, so the strict <
+    # keeps the smallest entries on a tie, as the full key would.
+    scores = {}  # (c_max, total, c_out) -> (lhs, ratio)
+    best = None  # (rank, choice)
+    for choice in itertools.product(*_row_options(per_node, part)):
+        _, row_cost, row_sum, row_out = zip(*choice)
+        key = (sum(row_cost), max(row_sum), sum(row_sum))
+        if key[0] > max_edits:
+            rank = (2, *key)
+        else:
+            quantities = (key[1], key[2], sum(row_out))
+            if quantities not in scores:
+                scores[quantities] = _a3_quantities(w_min, w_max, pp, *quantities)
+            lhs, ratio = scores[quantities]
+            if lhs > 0.0 and ratio < 1.0:
+                rank = (0, *key)
+            else:
+                rank = (1, ratio if math.isfinite(ratio) else math.inf, *key)
+        if best is None or rank < best[0]:
+            best = (rank, choice)
 
-    cost, c_max, total, combo, c_out = chosen
+    rows, row_cost, row_sum, row_out = zip(*best[1])
+    cost, c_max, total, c_out = sum(row_cost), max(row_sum), sum(row_sum), sum(row_out)
     lhs, ratio = _a3_quantities(w_min, w_max, pp, c_max, total, c_out)
     passes = lhs > 0.0 and ratio < 1.0
     targets = np.zeros((part.m, part.m), dtype=np.int64)
-    targets[~np.eye(part.m, dtype=bool)] = combo  # row-major, diagonal skipped
+    targets[~np.eye(part.m, dtype=bool)] = sum(rows, ())  # row-major, diagonal skipped
     tilde = min_edits_for_targets(net, part, targets)
     report = check_perturbed_conditions(net, tilde, part, pp, freq_tol)
     if report.overall != passes or report.ratio_a3 != ratio:

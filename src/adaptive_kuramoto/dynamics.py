@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from ._kernels_py import edge_rhs
+from ._kernels_py import edge_rhs, wrap_to_2pi
 from .conditions import PlasticityParams
 from .network import ClusterPartition, OscillatorNetwork, inter_cluster_structure
 
@@ -52,11 +52,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-def wrap_to_2pi(x):
-    """Wrap angles to [0, 2 pi)."""
-    return np.mod(x, TWO_PI)
 
 
 def wrap_to_pi(x):
@@ -313,19 +308,17 @@ def switch_topology_scenario(
     couplings must vanish off the edges of ``net_before``. At the switch,
     couplings on removed edges freeze at their current values (no longer read
     or integrated) and couplings on added edges start from 0. t_switch is
-    rounded to the record grid. A switch at or after t_end degenerates to a
-    plain run of ``net_before``.
+    rounded to the record grid. A switch that leaves no step after it (at or
+    after t_end on that grid) degenerates to a plain run of ``net_before``.
     """
     if net_before.n_nodes != net_after.n_nodes:
         raise ValueError("networks must have the same node count")
     if not np.array_equal(net_before.frequencies, net_after.frequencies):
         raise ValueError("networks must share natural frequencies")
 
-    if t_switch >= t_end:
-        return simulate(net_before, pp, initial, t_end, step, record_stride, partition)
-    n1 = _resolve_steps(t_switch, step, record_stride)
-    n2 = _resolve_steps(t_end, step, record_stride) - n1
-    legs = [(net_before, n1), (net_after, n2)]
+    n_end = _resolve_steps(t_end, step, record_stride)
+    n1 = _resolve_steps(min(t_switch, t_end), step, record_stride)
+    legs = [(net_before, n1), (net_after, n_end - n1)] if n1 < n_end else [(net_before, n_end)]
     return _integrate(legs, pp, initial, step, record_stride, partition)
 
 

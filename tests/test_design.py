@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,3 +369,23 @@ def test_oversized_design_search_fails_fast():
     with pytest.raises(ValueError, match=str(4**12)) as exc:
         design_topology(OscillatorNetwork(adj, w), part, pp, max_edits=5)
     assert str(design.MAX_DESIGN_CANDIDATES) in str(exc.value)
+
+
+def test_design_search_holds_no_candidate_list():
+    """Four 2-node clusters; in seven ordered pairs each receiver has one
+    input, so targets run 0..2 there and 0..1 in the other five: 3**7 * 2**5
+    = 69,984 tables. A list of them as tuples takes about 16 MB."""
+    part = ClusterPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
+    pairs = [(s, r) for s in range(4) for r in range(4) if s != r]
+    adj = np.zeros((8, 8), dtype=int)
+    for s, r in pairs[:7]:
+        adj[list(part.clusters[s]), part.clusters[r][0]] = 1
+    net = OscillatorNetwork(adj, np.repeat([1.0, 1.1, 1.2, 1.3], 2))
+    pp = PlasticityParams(gamma=1.0, mu=0.002, rule=LearningRule.hebbian())
+    tracemalloc.start()
+    try:
+        design_topology(net, part, pp, max_edits=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

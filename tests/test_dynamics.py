@@ -33,13 +33,21 @@ from adaptive_kuramoto import _backend, _kernels_py
 def test_wrap_ranges(x):
     y2 = float(wrap_to_2pi(x))
     yp = float(wrap_to_pi(x))
-    # rounding can land exactly on the upper boundary for tiny negatives
-    assert 0.0 <= y2 <= 2 * math.pi
+    assert 0.0 <= y2 < 2 * math.pi
     assert -math.pi <= yp <= math.pi
     # both agree with x modulo 2*pi
     assert math.isclose(math.cos(y2), math.cos(x), abs_tol=1e-9)
     assert math.isclose(math.sin(y2), math.sin(x), abs_tol=1e-9)
     assert math.isclose(math.cos(yp), math.cos(x), abs_tol=1e-9)
+
+
+def test_wrap_to_2pi_maps_a_tiny_negative_angle_to_zero():
+    # one np.mod rounds -1e-20 + 2 pi up to exactly 2 pi
+    assert np.mod(-1e-20, 2 * np.pi) == 2 * np.pi
+    wrapped = wrap_to_2pi(np.array([-1e-20, -0.0, 2 * np.pi, -2 * np.pi, 1.0, -1.0]))
+    assert wrapped.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 2 * np.pi - 1.0]
+    assert not np.signbit(wrapped).any()
+    assert wrap_to_2pi(-1e-20) == 0.0
 
 
 def test_initial_state_validation(five_node):
@@ -213,6 +221,22 @@ def test_switch_trivial_when_after_end(five_node):
     assert np.array_equal(a.edge_couplings, b.edge_couplings)
 
 
+def test_switch_without_a_step_after_it_is_a_plain_run(five_node):
+    # t_end = t_switch + 1e-9 rounds to the switch record: no step of net_after
+    net, part, pp = five_node
+    adj = net.adjacency.copy()
+    adj[0, 1] = 0
+    before = OscillatorNetwork(adj, net.frequencies)
+    st0 = initial_state(before, np.linspace(0, 1, 5))
+    a = switch_topology_scenario(before, net, pp, st0, 1.0, 1.0 + 1e-9, partition=part)
+    b = simulate(before, pp, st0, 1.0 + 1e-9, partition=part)
+    assert a.network is before
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.phases, b.phases)
+    assert a.k_edges == b.k_edges
+    assert np.array_equal(a.edge_couplings, b.edge_couplings)
+
+
 def test_switch_stitches_exactly(five_node):
     net, part, pp = five_node
     adj = net.adjacency.copy()
@@ -244,7 +268,7 @@ def test_switch_added_edge_starts_at_zero(five_node):
     before = OscillatorNetwork(adj, net.frequencies)
     k0 = random_couplings(before, 0.01, 0.01, 0)
     traj = switch_topology_scenario(
-        before, net, pp, initial_state(before, np.zeros(5), k0), 1.0, 1.0 + 1e-9, partition=part
+        before, net, pp, initial_state(before, np.zeros(5), k0), 1.0, 1.1, partition=part
     )
     rec = np.searchsorted(traj.times, 1.0)
     assert traj.edge_couplings[rec, traj.k_edges.index((0, 1))] == 0.0

@@ -438,6 +438,21 @@ def test_integrate_network_backends_agree(kernels_c, monkeypatch):
     assert np.abs(k_py - k_c).max() <= 1e-11
 
 
+@pytest.mark.parametrize("kernel", ["numpy", "c"])
+def test_kernel_wraps_a_tiny_negative_phase_to_zero(request, kernel):
+    # one node, no edges, frequency 0: the first step adds 0 to -1e-20, and
+    # np.mod(-1e-20, 2 pi) would round up to exactly 2 pi
+    impl = request.getfixturevalue("kernels_c") if kernel == "c" else _kernels_py
+    no_edges = np.zeros(0, dtype=np.int64)
+    thetas, kes = np.zeros((2, 1)), np.zeros((2, 0))
+    n_valid = impl.integrate_edges(
+        np.array([-1e-20]), np.zeros(0), no_edges, no_edges, np.zeros(1),
+        1.0, 0.1, 0, 0.0, np.zeros(1), 0.01, 1, thetas, kes,
+    )
+    assert n_valid == 2
+    assert thetas[1, 0] == 0.0 and not np.signbit(thetas[1, 0])
+
+
 def _edge_args(**bad):
     """Valid ``integrate_edges`` arguments on SPARSE_ADJ with a tabulated
     rule, ``bad`` replacing some of them."""
